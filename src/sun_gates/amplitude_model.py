@@ -21,8 +21,7 @@ from .invariant_channels import (
     s_channel,
     t_channel,
 )
-
-DEFAULT_TOLERANCE = 1e-10
+from .sun_algebra import DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,14 @@ def _cplx(z: complex) -> list[float]:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the ``re,im`` complex-argument syntax."""
+    """Parse the ``re,im`` complex-argument syntax; both parts must be finite."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"complex values use the re,im syntax, got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    value = complex(float(parts[0]), float(parts[1]))
+    if not np.isfinite(value):
+        raise ValueError(f"complex value must be finite, got {text!r}")
+    return value
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -194,7 +197,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2), output)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), output)
 
 
 def cmd_generators(config: RunConfig) -> int:
@@ -462,8 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         if config.n < 2:
             raise ValueError(f"qudit dimension must be at least 2, got {config.n}")
-        if not config.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {config.tolerance}")
+        if not (np.isfinite(config.tolerance) and config.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {config.tolerance}")
 
         if args.command == "generators":
             return cmd_generators(config)

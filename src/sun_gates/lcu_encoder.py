@@ -14,7 +14,9 @@ R_y convention: R_y(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Other
 sign conventions change only unobservable phases; the block identity
 (<0| (x) I) W (|0> (x) I) = M / alpha is what this module guarantees.
 
-The circuit is always four gates and one ancilla, independent of N.
+The circuit is always four gates and one ancilla, independent of N.  It is the
+single definition of W: ``build_w``, ``build_w_from_circuit`` and postselection
+all replay ``export_circuit``'s gates, postselection on |0> (x) |psi> alone.
 """
 
 from __future__ import annotations
@@ -107,14 +109,7 @@ def build_w(plan: BlockEncodingPlan, gates: GateSet) -> np.ndarray:
     """Assemble the full ancilla-system unitary W of the encoding circuit."""
     if plan.channel != gates.channel:
         raise ValueError(f"plan channel {plan.channel} does not match gate channel {gates.channel}")
-    d = plan.channel.n ** 2
-    eye = np.eye(d, dtype=complex)
-    u_i = np.exp(1j * plan.phi_a) * gates.s_identity
-    u_z = np.exp(1j * plan.phi_b) * gates.z_gate
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    select = np.kron(p0, u_i) + np.kron(p1, u_z)
-    return np.kron(ry(-2.0 * plan.gamma), eye) @ select @ np.kron(ry(2.0 * plan.gamma), eye)
+    return build_w_from_circuit(export_circuit(plan), gates)
 
 
 def verify_block(w: np.ndarray, m: np.ndarray, alpha: float, tolerance: float) -> BlockEncodingReport:
@@ -139,12 +134,9 @@ def apply_with_postselection(
     if psi.shape != (d,):
         raise ValueError(f"expected a state vector of length {d}, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"input state must be normalized, got norm {norm}")
-    w = build_w(plan, gates)
-    full = np.zeros(2 * d, dtype=complex)
-    full[:d] = psi
-    branch = (w @ full)[:d]
+    if not abs(norm - 1.0) <= 1e-10:
+        raise ValueError(f"input state must be normalized and finite, got norm {norm}")
+    branch = _run_circuit(export_circuit(plan), gates, np.concatenate([psi, np.zeros_like(psi)]))[:d]
     probability = float(np.linalg.norm(branch) ** 2)
     annihilated = probability <= 1e-24
     state = np.zeros(d, dtype=complex) if annihilated else branch / np.linalg.norm(branch)
@@ -195,28 +187,31 @@ def build_w_from_circuit(desc: CircuitDescription, gates: GateSet) -> np.ndarray
     Gates act in list order (first entry applied first), so the result equals
     ``build_w`` of the originating plan.
     """
+    return _run_circuit(desc, gates, np.eye(2 * gates.channel.n ** 2, dtype=complex))
+
+
+def _run_circuit(desc: CircuitDescription, gates: GateSet, x: np.ndarray) -> np.ndarray:
+    """Apply the circuit's gates in list order to the columns of ``x``.
+
+    ``x`` has 2 N^2 rows and is viewed as (ancilla, system, column).  An ``ry``
+    gate mixes the two ancilla halves; a controlled gate replaces the half
+    selected by ``control_value`` with e^{i phase} * target @ half.
+    """
     if desc.channel != gates.channel.kind.value or desc.n != gates.channel.n:
         raise ValueError(
             f"circuit is for channel {desc.channel!r} at N={desc.n}, "
             f"gates are for {gates.channel}"
         )
-    d = desc.n ** 2
-    eye = np.eye(d, dtype=complex)
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    w = np.eye(2 * d, dtype=complex)
+    targets = {"cz_gate": gates.z_gate, "cs_identity": gates.s_identity}
+    state = np.array(x, dtype=complex).reshape(2, desc.n ** 2, -1)
     for gate in desc.gates:
         if gate["name"] == "ry":
-            step = np.kron(ry(gate["theta"]), eye)
-        elif gate["name"] == "cz_gate":
-            target = np.exp(1j * gate["phase"]) * gates.z_gate
-            on, off = (p1, p0) if gate["control_value"] == 1 else (p0, p1)
-            step = np.kron(on, target) + np.kron(off, eye)
-        elif gate["name"] == "cs_identity":
-            target = np.exp(1j * gate["phase"]) * gates.s_identity
-            on, off = (p1, p0) if gate["control_value"] == 1 else (p0, p1)
-            step = np.kron(on, target) + np.kron(off, eye)
+            state = np.tensordot(ry(gate["theta"]), state, axes=1)
+        elif gate["name"] in targets:
+            if gate["control_value"] not in (0, 1):
+                raise ValueError(f"control_value must be 0 or 1, got {gate['control_value']!r}")
+            half = int(gate["control_value"])
+            state[half] = np.exp(1j * gate["phase"]) * (targets[gate["name"]] @ state[half])
         else:
             raise ValueError(f"unknown gate name {gate['name']!r}")
-        w = step @ w
-    return w
+    return state.reshape(np.shape(x))

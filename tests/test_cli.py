@@ -121,6 +121,22 @@ def test_encode_rejects_bad_psi_length(capsys):
     assert main(["encode", "--a", "1,0", "--b", "0,0", "--n", "2", "--psi", "1,0"]) == 2
 
 
+@pytest.mark.parametrize("args, env", [
+    (["encode", "--n", "2", "--a=nan,0", "--b=1,0"], None),
+    (["encode", "--n", "2", "--a=1,0", "--b=0,inf"], None),
+    (["encode", "--n", "2", "--a=1,0", "--b=1,0", "--psi=nan,0,0,0"], None),
+    (["verify", "--n", "2", "--tolerance", "inf"], None),
+    (["verify", "--n", "2"], "inf"),
+], ids=["a", "b", "psi", "tolerance", "env-tolerance"])
+def test_non_finite_input_exits_2(tmp_path, capsys, monkeypatch, args, env):
+    if env is not None:
+        monkeypatch.setenv("SUN_GATES_TOLERANCE", env)
+    code, text = run(tmp_path, *args)
+    assert code == 2
+    assert text == ""
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cross_reference_points(tmp_path):
     code, data = run_json(tmp_path, "cross", "--a", "1,0", "--b", "0,0", "--n", "2", "--channel", "s")
     assert code == 0

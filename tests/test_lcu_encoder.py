@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,16 @@ def channel_setup(n, kind="s"):
     gens = build_generators(n)
     spec = s_channel(n) if kind == "s" else t_channel(n)
     return spec, build_gates(spec, gens)
+
+
+def dense_w(plan, gates):
+    """Reference W assembled from Kronecker products, independent of the circuit replay."""
+    eye = np.eye(plan.channel.n ** 2, dtype=complex)
+    p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    select = (np.kron(p0, np.exp(1j * plan.phi_a) * gates.s_identity)
+              + np.kron(p1, np.exp(1j * plan.phi_b) * gates.z_gate))
+    return np.kron(ry(-2.0 * plan.gamma), eye) @ select @ np.kron(ry(2.0 * plan.gamma), eye)
 
 
 def test_plan_pure_identity():
@@ -129,6 +144,17 @@ def test_block_identity_random_amplitudes(n, kind):
         assert report.passed, report.max_deviation
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["s", "t"])
+def test_replayed_w_matches_dense_formula(n, kind):
+    spec, gates = channel_setup(n, kind)
+    rng = np.random.default_rng(31 * n)
+    for _ in range(5):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        plan = plan_encoding(AmplitudeCoefficients(spec, a, b))
+        assert np.abs(build_w(plan, gates) - dense_w(plan, gates)).max() <= 1e-12
+
+
 def test_verify_block_trivial_and_corrupted():
     spec, gates = channel_setup(2)
     eye_block = verify_block(np.eye(8, dtype=complex), np.eye(4, dtype=complex), 1.0, 1e-12)
@@ -189,6 +215,22 @@ def test_postselection_probability_matches_direct_application(n, kind):
         m_psi = amplitude_operator(coeffs, gates) @ psi
         expected = float(np.linalg.norm(m_psi) ** 2 / plan.alpha ** 2)
         assert abs(result.success_probability - expected) <= 1e-12
+        assert np.abs(result.state - m_psi / np.linalg.norm(m_psi)).max() <= 1e-12
+
+
+def test_postselection_never_builds_w():
+    n = 8
+    spec, gates = channel_setup(n, "t")
+    plan = plan_encoding(AmplitudeCoefficients(spec, 0.4 + 0.3j, -0.9))
+    psi = np.full(n * n, 1.0 / n, dtype=complex)
+    w_bytes = (2 * n * n) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        apply_with_postselection(plan, gates, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w_bytes / 8, (peak, w_bytes)
 
 
 def test_postselection_rejects_unnormalized_state():
@@ -196,6 +238,14 @@ def test_postselection_rejects_unnormalized_state():
     plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0))
     with pytest.raises(ValueError):
         apply_with_postselection(plan, gates, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_postselection_rejects_non_finite_state(bad):
+    spec, gates = channel_setup(2)
+    plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        apply_with_postselection(plan, gates, np.array([bad, 0.0, 0.0, 0.0], dtype=complex))
 
 
 def test_exported_circuit_structure():
@@ -238,7 +288,7 @@ def test_circuit_round_trip_rebuilds_w():
 
 
 def test_circuit_from_json_validation():
-    spec, _ = channel_setup(2)
+    spec, gates = channel_setup(2)
     payload = circuit_to_json(export_circuit(plan_encoding(AmplitudeCoefficients(spec, 1.0, 1.0))))
     bad_version = dict(payload, version=2)
     with pytest.raises(ValueError):
@@ -246,6 +296,10 @@ def test_circuit_from_json_validation():
     bad_gates = dict(payload, gates=payload["gates"][:3])
     with pytest.raises(ValueError):
         circuit_from_json(bad_gates)
+    bad_control = dict(payload, gates=[dict(g) for g in payload["gates"]])
+    bad_control["gates"][1]["control_value"] = 2
+    with pytest.raises(ValueError, match="control_value"):
+        build_w_from_circuit(circuit_from_json(bad_control), gates)
 
 
 def test_build_w_channel_mismatch():
@@ -254,3 +308,16 @@ def test_build_w_channel_mismatch():
     plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0))
     with pytest.raises(ValueError):
         build_w(plan, t_gates)
+
+
+@pytest.mark.parametrize("kind", ["s", "t"])
+def test_block_encoding_demo_script_runs(kind):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "block_encoding_demo.py"), "--n", "2", "--channel", kind],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exported circuit:" in proc.stdout
