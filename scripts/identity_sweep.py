@@ -8,13 +8,14 @@ import argparse
 
 from sun_gates.cli import identity_checks
 from sun_gates.invariant_channels import Channel
+from sun_gates.sun_algebra import DEFAULT_TOLERANCE
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=1e-10)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     args = parser.parse_args()
 
     dims = range(2, args.max_n + 1)

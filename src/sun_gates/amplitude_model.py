@@ -121,6 +121,9 @@ class PartialWaveSector:
     def __post_init__(self):
         if self.j < 0:
             raise ValueError(f"angular momentum label must be non-negative, got {self.j}")
+        values = (self.a_j, self.b_j, self.kappa_j)
+        if not all(np.isfinite(v) for v in values):
+            raise ValueError(f"a_j, b_j and kappa_j must be finite, got {values}")
         if not self.kappa_j > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa_j}")
 

@@ -1,9 +1,12 @@
 """Command-line front-end: construction, verification, encoding, crossing, disk data.
 
-Exit status: 0 when all checks pass, 1 on verification failure, 2 on usage or
-input errors.  Complex arguments use the shell-safe ``re,im`` syntax; the
-``SUN_GATES_TOLERANCE`` environment variable supplies the tolerance when
-``--tolerance`` is not given.
+Each subcommand takes only the flags it reads (``sun-gates COMMAND -h`` lists
+them); any other flag is a usage error.  Exit status: 0 when all checks pass,
+1 on verification failure, 2 on usage or input errors, floating-point overflow
+included.  Complex arguments use the shell-safe ``re,im`` syntax; a negative
+leading value needs the joined form (``--a=-1,0``, ``--psi=-0.5,...``).  The
+``SUN_GATES_TOLERANCE`` environment variable supplies the tolerance; it is
+read and validated only when ``--tolerance`` is absent.
 """
 
 from __future__ import annotations
@@ -62,18 +65,6 @@ EXIT_USAGE = 2
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Resolved common options of a single command invocation."""
-
-    n: int
-    channel: Channel | None
-    tolerance: float
-    seed: int
-    output: str | None
-    fmt: str | None
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     max_deviation: float
@@ -96,8 +87,36 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+def _checked(convert, accept, requirement: str):
+    """An argparse type: ``convert(text)`` when that succeeds and passes ``accept``, else a usage error."""
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+    return parse
+
+
+_dimension = _checked(int, lambda n: n >= 2, "qudit dimension must be an integer of at least 2")
+_tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0,
+                      f"tolerance (--tolerance, else {ENV_TOLERANCE}) must be finite and positive")
+
+
 def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max())
+
+
+def _crossing_deviations(coeffs: AmplitudeCoefficients, s_gates, t_gates):
+    """Cross ``coeffs``; return (crossed, round-trip deviation, operator-consistency deviation)."""
+    crossed = cross_coefficients(coeffs)
+    back = cross_coefficients(crossed)
+    s_coeffs, t_coeffs = (coeffs, crossed) if coeffs.channel.kind is Channel.S else (crossed, coeffs)
+    m_s = amplitude_operator(s_coeffs, s_gates)
+    m_t = amplitude_operator(t_coeffs, t_gates)
+    round_trip = max(abs(back.a - coeffs.a), abs(back.b - coeffs.b))
+    return crossed, round_trip, _max_abs(crossing_map(m_s) - m_t)
 
 
 def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -> list[CheckResult]:
@@ -172,16 +191,10 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
     ]
 
     a, b = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-    s_coeffs = AmplitudeCoefficients(ChannelSpec(Channel.S, n), a, b)
-    t_coeffs = cross_coefficients(s_coeffs)
-    back = cross_coefficients(t_coeffs)
-    results.append(check(
-        "crossing_coefficient_round_trip",
-        max(abs(back.a - a), abs(back.b - b)),
-    ))
-    m_s = amplitude_operator(s_coeffs, s_gates)
-    m_t = amplitude_operator(t_coeffs, t_gates)
-    results.append(check("crossing_operator_consistency", _max_abs(crossing_map(m_s) - m_t)))
+    _, round_trip, operator_dev = _crossing_deviations(
+        AmplitudeCoefficients(ChannelSpec(Channel.S, n), a, b), s_gates, t_gates)
+    results += [check("crossing_coefficient_round_trip", round_trip),
+                check("crossing_operator_consistency", operator_dev)]
 
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     results.append(check("decompose_round_trip", _max_abs(reconstruct(decompose(op, gens), gens) - op)))
@@ -200,37 +213,37 @@ def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False), output)
 
 
-def cmd_generators(config: RunConfig) -> int:
-    gens = build_generators(config.n)
-    completeness = verify_completeness(gens, config.tolerance)
+def cmd_generators(args: argparse.Namespace) -> int:
+    gens = build_generators(args.n)
+    completeness = verify_completeness(gens, args.tolerance)
     deviations = {
         "hermiticity_max_deviation": hermiticity_deviation(gens),
         "tracelessness_max_deviation": tracelessness_deviation(gens),
         "orthonormality_max_deviation": orthonormality_deviation(gens),
         "completeness_max_deviation": completeness.max_deviation,
     }
-    all_passed = all(v <= config.tolerance for v in deviations.values())
+    all_passed = all(v <= args.tolerance for v in deviations.values())
     payload = {
-        "n": config.n,
-        "tolerance": config.tolerance,
+        "n": args.n,
+        "tolerance": args.tolerance,
         "generator_count": len(gens),
         "generators": [[[_cplx(entry) for entry in row] for row in mat] for mat in gens],
         **deviations,
         "all_passed": all_passed,
     }
-    _emit_json(payload, config.output)
+    _emit_json(payload, args.output)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_verify(config: RunConfig) -> int:
-    kinds = [config.channel] if config.channel else [Channel.S, Channel.T]
-    checks = identity_checks(config.n, kinds, config.tolerance, config.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    kinds = [Channel(args.channel)] if args.channel else [Channel.S, Channel.T]
+    checks = identity_checks(args.n, kinds, args.tolerance, args.seed)
     all_passed = all(c.passed for c in checks)
     payload = {
-        "n": config.n,
-        "channel": config.channel.value if config.channel else "both",
-        "tolerance": config.tolerance,
-        "seed": config.seed,
+        "n": args.n,
+        "channel": args.channel or "both",
+        "tolerance": args.tolerance,
+        "seed": args.seed,
         "checks": [
             {"name": c.name, "max_deviation": c.max_deviation, "passed": c.passed,
              **({"detail": c.detail} if c.detail else {})}
@@ -238,20 +251,26 @@ def cmd_verify(config: RunConfig) -> int:
         ],
         "all_passed": all_passed,
     }
-    _emit_json(payload, config.output)
+    _emit_json(payload, args.output)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_encode(config: RunConfig, a: complex, b: complex, psi: np.ndarray | None) -> int:
-    channel = ChannelSpec(config.channel or Channel.S, config.n)
-    coeffs = AmplitudeCoefficients(channel, a, b)
+def cmd_encode(args: argparse.Namespace) -> int:
+    n, d = args.n, args.n ** 2
+    psi = None
+    if args.psi is not None:
+        values = [float(part) for part in args.psi.split(",")]
+        if len(values) != d:
+            raise ValueError(f"psi must have {d} amplitudes for N={n}, got {len(values)}")
+        psi = np.array(values, dtype=complex)
+    channel = ChannelSpec(Channel(args.channel or "s"), n)
+    coeffs = AmplitudeCoefficients(channel, parse_complex(args.a), parse_complex(args.b))
     plan = plan_encoding(coeffs)
-    gens = build_generators(config.n)
+    gens = build_generators(n)
     gates = build_gates(channel, gens)
     w = build_w(plan, gates)
     m = amplitude_operator(coeffs, gates)
-    report = verify_block(w, m, plan.alpha, config.tolerance)
-    d = config.n ** 2
+    report = verify_block(w, m, plan.alpha, args.tolerance)
     unitarity = _max_abs(w.conj().T @ w - np.eye(2 * d))
     payload = {
         "circuit": circuit_to_json(export_circuit(plan)),
@@ -266,31 +285,24 @@ def cmd_encode(config: RunConfig, a: complex, b: complex, psi: np.ndarray | None
         result = apply_with_postselection(plan, gates, psi)
         payload["postselection_probability"] = result.success_probability
         payload["postselection_annihilated"] = result.annihilated
-    all_passed = report.passed and unitarity <= config.tolerance
+    all_passed = report.passed and unitarity <= args.tolerance
     payload["all_passed"] = all_passed
-    _emit_json(payload, config.output)
+    _emit_json(payload, args.output)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_cross(config: RunConfig, a: complex, b: complex) -> int:
-    source = ChannelSpec(config.channel or Channel.S, config.n)
-    coeffs = AmplitudeCoefficients(source, a, b)
-    crossed = cross_coefficients(coeffs)
-    back = cross_coefficients(crossed)
-    gens = build_generators(config.n)
-    s_gates = build_gates(ChannelSpec(Channel.S, config.n), gens)
-    t_gates = build_gates(ChannelSpec(Channel.T, config.n), gens)
-    if source.kind is Channel.S:
-        m_s = amplitude_operator(coeffs, s_gates)
-        m_t = amplitude_operator(crossed, t_gates)
-    else:
-        m_s = amplitude_operator(crossed, s_gates)
-        m_t = amplitude_operator(coeffs, t_gates)
-    operator_dev = _max_abs(crossing_map(m_s) - m_t)
-    round_trip_dev = max(abs(back.a - a), abs(back.b - b))
-    all_passed = operator_dev <= config.tolerance and round_trip_dev <= config.tolerance
+def cmd_cross(args: argparse.Namespace) -> int:
+    a, b = parse_complex(args.a), parse_complex(args.b)
+    source = ChannelSpec(Channel(args.channel or "s"), args.n)
+    gens = build_generators(args.n)
+    crossed, round_trip_dev, operator_dev = _crossing_deviations(
+        AmplitudeCoefficients(source, a, b),
+        build_gates(ChannelSpec(Channel.S, args.n), gens),
+        build_gates(ChannelSpec(Channel.T, args.n), gens),
+    )
+    all_passed = operator_dev <= args.tolerance and round_trip_dev <= args.tolerance
     payload = {
-        "n": config.n,
+        "n": args.n,
         "source_channel": source.kind.value,
         "target_channel": crossed.channel.kind.value,
         "a": _cplx(a),
@@ -301,21 +313,21 @@ def cmd_cross(config: RunConfig, a: complex, b: complex) -> int:
         "round_trip_deviation": round_trip_dev,
         "all_passed": all_passed,
     }
-    _emit_json(payload, config.output)
+    _emit_json(payload, args.output)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_disk(config: RunConfig, resolution: int) -> int:
-    rows = disk_samples(resolution)
-    if config.fmt == "json":
+def cmd_disk(args: argparse.Namespace) -> int:
+    rows = disk_samples(args.resolution)
+    if args.format == "json":
         payload = {
-            "resolution": resolution,
+            "resolution": args.resolution,
             "rows": [
                 {"theta": r.theta, "phi": r.phi, "a": _cplx(r.a), "b": _cplx(r.b), "norm_sq": r.norm_sq}
                 for r in rows
             ],
         }
-        _emit_json(payload, config.output)
+        _emit_json(payload, args.output)
         return EXIT_OK
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -327,7 +339,7 @@ def cmd_disk(config: RunConfig, resolution: int) -> int:
             repr(r.b.real), repr(r.b.imag),
             repr(r.norm_sq),
         ])
-    _emit(buffer.getvalue().rstrip("\n"), config.output)
+    _emit(buffer.getvalue().rstrip("\n"), args.output)
     return EXIT_OK
 
 
@@ -367,12 +379,12 @@ def read_sectors(path: str) -> list[PartialWaveSector]:
     return sectors
 
 
-def cmd_partial_wave(config: RunConfig, sectors_file: str) -> int:
-    sectors = read_sectors(sectors_file)
-    reports = [(s, check_partial_wave(s, config.tolerance)) for s in sectors]
+def cmd_partial_wave(args: argparse.Namespace) -> int:
+    sectors = read_sectors(args.sectors_file)
+    reports = [(s, check_partial_wave(s, args.tolerance)) for s in sectors]
     all_satisfied = all(r.bound_satisfied for _, r in reports)
     payload = {
-        "tolerance": config.tolerance,
+        "tolerance": args.tolerance,
         "sectors": [
             {
                 "j": s.j,
@@ -390,108 +402,61 @@ def cmd_partial_wave(config: RunConfig, sectors_file: str) -> int:
         ],
         "all_bounds_satisfied": all_satisfied,
     }
-    _emit_json(payload, config.output)
+    _emit_json(payload, args.output)
     return EXIT_OK if all_satisfied else EXIT_CHECK_FAILED
-
-
-def _resolve_tolerance(value: float | None) -> float:
-    if value is not None:
-        return value
-    raw = os.environ.get(ENV_TOLERANCE)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    return float(raw)
-
-
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=3, help="qudit dimension N (default 3)")
-    parser.add_argument("--channel", choices=["s", "t"], default=None,
-                        help="scattering channel (verify runs both when omitted)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help=f"check tolerance (default {ENV_TOLERANCE} or {DEFAULT_TOLERANCE})")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--output", default=None, help="write output to this path instead of stdout")
-    parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sun-gates", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generators", help="build generators and verify their identities")
-    _add_common_options(p)
-
-    p = sub.add_parser("verify", help="run the full operator-identity suite")
-    _add_common_options(p)
-
-    p = sub.add_parser("encode", help="block-encode an amplitude a*I + b*Z")
-    _add_common_options(p)
-    p.add_argument("--a", required=True, help="coefficient of the identity gate, re,im")
-    p.add_argument("--b", required=True, help="coefficient of the Z gate, re,im")
-    p.add_argument("--psi", default=None,
-                   help="optional system state: N^2 comma-separated real amplitudes")
-
-    p = sub.add_parser("cross", help="transport coefficients to the crossed channel")
-    _add_common_options(p)
-    p.add_argument("--a", required=True, help="coefficient of the identity gate, re,im")
-    p.add_argument("--b", required=True, help="coefficient of the Z gate, re,im")
-
-    p = sub.add_parser("disk", help="emit coefficient-disk samples")
-    _add_common_options(p)
-    p.add_argument("--resolution", type=int, default=8, help="boundary sample count (>= 2)")
-
-    p = sub.add_parser("partial-wave", help="check unitarity bounds for a sector table")
-    _add_common_options(p)
-    p.add_argument("sectors_file", help="CSV with header j,re_a,im_a,re_b,im_b,kappa")
-
+    options = {
+        "--n": dict(type=_dimension, default=3, help="qudit dimension N >= 2 (default 3)"),
+        "--channel": dict(choices=["s", "t"], default=None,
+                          help="scattering channel (default s; verify runs both when omitted)"),
+        # a string default goes through _tolerance; argparse converts it only when the flag is absent
+        "--tolerance": dict(type=_tolerance, default=os.environ.get(ENV_TOLERANCE, DEFAULT_TOLERANCE),
+                            help=f"check tolerance (default {ENV_TOLERANCE} or {DEFAULT_TOLERANCE})"),
+        "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+        "--a": dict(required=True, help="coefficient of the identity gate, re,im"),
+        "--b": dict(required=True, help="coefficient of the Z gate, re,im"),
+        "--psi": dict(default=None, help="optional system state: N^2 comma-separated real amplitudes"),
+        "--resolution": dict(type=int, default=8, help="boundary sample count (>= 2)"),
+        "--format": dict(choices=["csv", "json"], default="csv", help="payload format (default csv)"),
+        "--output": dict(default=None, help="write output to this path instead of stdout"),
+        "sectors_file": dict(help="CSV with header j,re_a,im_a,re_b,im_b,kappa"),
+    }
+    commands = [
+        ("generators", cmd_generators, "build generators and verify their identities", "--n --tolerance"),
+        ("verify", cmd_verify, "run the full operator-identity suite", "--n --channel --tolerance --seed"),
+        ("encode", cmd_encode, "block-encode an amplitude a*I + b*Z",
+         "--n --channel --tolerance --a --b --psi"),
+        ("cross", cmd_cross, "transport coefficients to the crossed channel",
+         "--n --channel --tolerance --a --b"),
+        ("disk", cmd_disk, "emit coefficient-disk samples", "--resolution --format"),
+        ("partial-wave", cmd_partial_wave, "check unitarity bounds for a sector table",
+         "sectors_file --tolerance"),
+    ]
+    for name, run, help_text, flags in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        for flag in [*flags.split(), "--output"]:
+            p.add_argument(flag, **options[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
     try:
-        config = RunConfig(
-            n=args.n,
-            channel=Channel(args.channel) if args.channel else None,
-            tolerance=_resolve_tolerance(args.tolerance),
-            seed=args.seed,
-            output=args.output,
-            fmt=args.fmt,
-        )
-        if config.n < 2:
-            raise ValueError(f"qudit dimension must be at least 2, got {config.n}")
-        if not (np.isfinite(config.tolerance) and config.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {config.tolerance}")
-
-        if args.command == "generators":
-            return cmd_generators(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "encode":
-            psi = None
-            if args.psi is not None:
-                values = [float(part) for part in args.psi.split(",")]
-                if len(values) != config.n ** 2:
-                    raise ValueError(
-                        f"psi must have {config.n ** 2} amplitudes for N={config.n}, got {len(values)}"
-                    )
-                psi = np.array(values, dtype=complex)
-            return cmd_encode(config, parse_complex(args.a), parse_complex(args.b), psi)
-        if args.command == "cross":
-            return cmd_cross(config, parse_complex(args.a), parse_complex(args.b))
-        if args.command == "disk":
-            return cmd_disk(config, args.resolution)
-        if args.command == "partial-wave":
-            return cmd_partial_wave(config, args.sectors_file)
-        raise ValueError(f"unknown command {args.command!r}")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.run(args)
+    except ArithmeticError as exc:
+        print(f"error: arithmetic overflow or invalid value: {exc}", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sun_gates.cli import main, parse_complex
 
@@ -211,9 +213,11 @@ def test_partial_wave_empty_file(tmp_path):
 
 def test_partial_wave_parse_error_reports_line(tmp_path, capsys):
     sectors = tmp_path / "sectors.csv"
-    sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0,1\n1,oops,0,0,0,1\n")
-    assert main(["partial-wave", str(sectors)]) == 2
-    assert "line 3" in capsys.readouterr().err
+    for bad_row, reason in [("1,oops,0,0,0,1", "float"), ("1,nan,0,0,0,1", "finite"), ("1,0,0,0,0,inf", "finite")]:
+        sectors.write_text(f"j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0,1\n{bad_row}\n")
+        assert main(["partial-wave", str(sectors)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and reason in err
 
 
 def test_partial_wave_line_numbers_skip_blanks(tmp_path, capsys):
@@ -245,6 +249,92 @@ def test_flag_overrides_env(tmp_path, monkeypatch):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+SECTORS = "j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0,1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["disk", "--n", "3"],
+    ["verify", "--format", "csv"],
+    ["encode", "--a", "1,0", "--b", "0,0", "--seed", "1"],
+    ["cross", "--a", "1,0", "--b", "0,0", "--seed", "1"],
+    ["generators", "--channel", "s"],
+    ["partial-wave", "{sectors}", "--n", "3"],
+], ids=["disk", "verify", "encode", "cross", "generators", "partial-wave"])
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, args):
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_text(SECTORS)
+    code, text = run(tmp_path, *[arg.format(sectors=sectors) for arg in args])
+    assert code == 2
+    assert text == ""
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_tolerance_flag_wins_over_invalid_env(tmp_path, monkeypatch):
+    # the env var is --tolerance's string default, converted only when the flag is absent
+    monkeypatch.setenv("SUN_GATES_TOLERANCE", "bogus")
+    code, data = run_json(tmp_path, "verify", "--n", "2", "--tolerance", "1e-9")
+    assert code == 0
+    assert data["tolerance"] == 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy RuntimeWarning on the CLI path fails the test
+@pytest.mark.parametrize("args", [
+    ["partial-wave", "{sectors}"],
+    ["cross", "--n", "2", "--a=1e308,1e308", "--b=1e308,0"],
+    ["encode", "--n", "2", "--a=1e308,0", "--b=1e308,0"],
+], ids=["partial-wave", "cross", "encode"])
+def test_overflow_exits_2(tmp_path, capsys, args):
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n0,1e200,0,0,0,1\n")
+    code, text = run(tmp_path, *[arg.format(sectors=sectors) for arg in args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "overflow" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _check_cli_contract(tmp_path, *args):
+    """main never raises; exit 0/1 writes strict JSON, exit 2 writes nothing."""
+    out = tmp_path / "fuzz.json"
+    out.unlink(missing_ok=True)
+    code = main([*args, "--output", str(out)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not out.exists()
+    else:
+        _strict_json(out.read_text())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@FUZZ
+@given(command=st.sampled_from(["encode", "cross"]), n=st.sampled_from([2, 3]),
+       channel=st.sampled_from(["s", "t"]), a=st.tuples(finite, finite), b=st.tuples(finite, finite))
+def test_fuzz_coefficient_commands(tmp_path, command, n, channel, a, b):
+    _check_cli_contract(tmp_path, command, "--n", str(n), "--channel", channel,
+                        "--a={!r},{!r}".format(*a), "--b={!r},{!r}".format(*b))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@FUZZ
+@given(rows=st.lists(st.tuples(st.integers(0, 4), finite, finite, finite, finite, finite), max_size=3))
+def test_fuzz_partial_wave(tmp_path, rows):
+    sectors = tmp_path / "fuzz.csv"
+    sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in rows))
+    _check_cli_contract(tmp_path, "partial-wave", str(sectors))
 
 
 def test_json_floats_round_trip_exactly(tmp_path):

@@ -23,7 +23,7 @@ from sun_gates.lcu_encoder import (
     ry,
     verify_block,
 )
-from sun_gates.sun_algebra import build_generators
+from sun_gates.sun_algebra import DEFAULT_TOLERANCE, build_generators
 
 nonzero_pairs = st.tuples(
     st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
@@ -321,3 +321,14 @@ def test_block_encoding_demo_script_runs(kind):
     )
     assert proc.returncode == 0, proc.stderr
     assert "exported circuit:" in proc.stdout
+
+
+def test_identity_sweep_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "identity_sweep.py"), "--max-n", "3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"all checks pass at {DEFAULT_TOLERANCE:.0e}: True" in proc.stdout
