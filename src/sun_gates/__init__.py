@@ -30,6 +30,7 @@ from .invariant_channels import (
     build_projectors,
     charge_parity_bilinear,
     crossing_map,
+    crossing_row_deviations,
     generator_form_projectors,
     s_channel,
     select_crossing_axes,

@@ -178,6 +178,10 @@ class DiskSample:
         return abs(self.a) ** 2 + abs(self.b) ** 2
 
 
+#: Largest ``disk_samples`` resolution: the table has resolution^2 rows, about 0.5 GB at 1024.
+MAX_DISK_RESOLUTION = 1024
+
+
 def disk_samples(resolution: int) -> list[DiskSample]:
     """Sample the coefficient disk: unitary boundary arc plus interior grid.
 
@@ -185,10 +189,10 @@ def disk_samples(resolution: int) -> list[DiskSample]:
     phi = 0 (so |a|^2 + |b|^2 = 1, including the pure-identity point theta = 0
     and the pure-Z point theta = pi/2); the remaining rows scale the same arc
     by radii r = k / resolution, k = 1 .. resolution - 1, all with
-    |a|^2 + |b|^2 < 1.
+    |a|^2 + |b|^2 < 1.  ``resolution`` runs from 2 to ``MAX_DISK_RESOLUTION``.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= MAX_DISK_RESOLUTION:
+        raise ValueError(f"resolution must be between 2 and {MAX_DISK_RESOLUTION}, got {resolution}")
     thetas = np.linspace(0.0, np.pi / 2.0, resolution)
     rows = [
         DiskSample(theta=float(t), phi=0.0, a=complex(np.cos(t)), b=complex(1j * np.sin(t)))

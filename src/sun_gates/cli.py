@@ -35,6 +35,7 @@ from .invariant_channels import (
     build_gates,
     build_projectors,
     crossing_map,
+    crossing_row_deviations,
     generator_form_projectors,
     swap_matrix,
     u_exponential_form,
@@ -102,6 +103,7 @@ def _checked(convert, accept, requirement: str):
 _dimension = _checked(int, lambda n: n >= 2, "qudit dimension must be an integer of at least 2")
 _tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0,
                       f"tolerance (--tolerance, else {ENV_TOLERANCE}) must be finite and positive")
+_seed = _checked(int, lambda s: s >= 0, "seed must be an integer of at least 0")
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -137,11 +139,13 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
     ]
 
     eye = np.eye(d, dtype=complex)
+    # both channels' gates: the crossing checks below tie them together, so they always run
+    s_gates, t_gates = (build_gates(ChannelSpec(kind, n), gens) for kind in (Channel.S, Channel.T))
     for kind in kinds:
         spec = ChannelSpec(kind, n)
         tag = kind.value
         projs = build_projectors(spec, gens)
-        gates = build_gates(spec, gens)
+        gates = s_gates if kind is Channel.S else t_gates
         p_plus, p_minus = projs.p_plus, projs.p_minus
         g_plus, g_minus = generator_form_projectors(spec, gens)
         if kind is Channel.S:
@@ -180,15 +184,8 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
             overlap = abs(np.einsum("ij,ij", z.conj(), u_exp)) / d
             results.append(check("u_exponential_form", abs(1.0 - overlap)))
 
-    # crossing relations tie the two channels together, so they always run
-    t_gates = build_gates(ChannelSpec(Channel.T, n), gens)
-    s_gates = build_gates(ChannelSpec(Channel.S, n), gens)
-    u = t_gates.z_gate
-    results += [
-        check("crossing_row_identity",
-              _max_abs(crossing_map(s_gates.s_identity) - (n / 2.0) * (eye + u))),
-        check("crossing_row_swap", _max_abs(crossing_map(s_gates.z_gate) - eye)),
-    ]
+    row_identity, row_swap = crossing_row_deviations(s_gates, t_gates)
+    results += [check("crossing_row_identity", row_identity), check("crossing_row_swap", row_swap)]
 
     a, b = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
     _, round_trip, operator_dev = _crossing_deviations(
@@ -416,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
         # a string default goes through _tolerance; argparse converts it only when the flag is absent
         "--tolerance": dict(type=_tolerance, default=os.environ.get(ENV_TOLERANCE, DEFAULT_TOLERANCE),
                             help=f"check tolerance (default {ENV_TOLERANCE} or {DEFAULT_TOLERANCE})"),
-        "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+        "--seed": dict(type=_seed, default=0, help="seed for randomized checks (integer >= 0)"),
         "--a": dict(required=True, help="coefficient of the identity gate, re,im"),
         "--b": dict(required=True, help="coefficient of the Z gate, re,im"),
         "--psi": dict(default=None, help="optional system state: N^2 comma-separated real amplitudes"),
-        "--resolution": dict(type=int, default=8, help="boundary sample count (>= 2)"),
+        "--resolution": dict(type=int, default=8, help="boundary sample count (2 to 1024)"),
         "--format": dict(choices=["csv", "json"], default="csv", help="payload format (default csv)"),
         "--output": dict(default=None, help="write output to this path instead of stdout"),
         "sectors_file": dict(help="CSV with header j,re_a,im_a,re_b,im_b,kappa"),

@@ -22,7 +22,8 @@ regrouping crossed[(a,b),(c,d)] = op[(a,d),(b,c)]: the first outgoing leg is a
 spectator while the remaining legs are re-paired.  It was selected empirically
 (see ``select_crossing_axes``) as the unique spectator-fixing permutation
 satisfying both gate relations crossed(identity) = (N/2)(identity + charge
-parity) and crossed(swap) = identity.
+parity) and crossed(swap) = identity.  ``select_crossing_axes`` and the CLI
+``verify`` suite evaluate both relations through ``crossing_row_deviations``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import numpy as np
 from .sun_algebra import GeneratorSet, build_generators
 
 #: Axes permutation (for a (N,N,N,N)-reshaped operator) implementing the
-#: s -> t crossing reshuffle; selected by select_crossing_axes at N = 2, 3.
+#: s -> t crossing reshuffle; select_crossing_axes re-derives it at N = 2, 3, 4.
 CROSSING_AXES = (0, 2, 3, 1)
-CROSSING_AXES_INVERSE = (0, 3, 1, 2)
+CROSSING_AXES_INVERSE = tuple(np.argsort(CROSSING_AXES).tolist())
 
 #: Minimum eigenvalue separation used when counting spectral multiplicities.
 EIGENVALUE_GAP = 1e-6
@@ -105,13 +106,15 @@ class GateSet:
         self.z_gate.setflags(write=False)
 
 
+def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Permute the (k, l, i, j) indices of an N^2 x N^2 operator by ``axes``."""
+    n = isqrt(op.shape[0])
+    return np.transpose(op.reshape(n, n, n, n), axes).reshape(n * n, n * n)
+
+
 def swap_matrix(n: int) -> np.ndarray:
     """Permutation matrix sending |ij> to |ji>."""
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i * n + j, j * n + i] = 1.0
-    return m
+    return _regroup(np.eye(n * n, dtype=complex), (1, 0, 2, 3))
 
 
 def _check_channel(channel: ChannelSpec, gens: GeneratorSet) -> None:
@@ -129,15 +132,15 @@ def build_projectors(channel: ChannelSpec, gens: GeneratorSet) -> ProjectorSet:
     """
     _check_channel(channel, gens)
     n = channel.n
+    eye = np.eye(n * n, dtype=complex)
     if channel.kind is Channel.S:
-        eye = np.eye(n * n, dtype=complex)
         swap = swap_matrix(n)
         p_plus = (eye + swap) / 2.0
         p_minus = (eye - swap) / 2.0
     else:
-        e = np.eye(n, dtype=complex)
-        p_plus = np.einsum("ki,pr->kipr", e, e).reshape(n * n, n * n) / n
-        p_minus = np.einsum("kp,ir->kipr", e, e).reshape(n * n, n * n) - p_plus
+        vec_eye = np.eye(n, dtype=complex).reshape(n * n)
+        p_plus = np.outer(vec_eye, vec_eye) / n
+        p_minus = eye - p_plus
     return ProjectorSet(channel=channel, p_plus=p_plus, p_minus=p_minus)
 
 
@@ -252,11 +255,18 @@ def crossing_map(op: np.ndarray, inverse: bool = False) -> np.ndarray:
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square operator, got shape {op.shape}")
-    n = isqrt(op.shape[0])
-    if n * n != op.shape[0]:
+    if isqrt(op.shape[0]) ** 2 != op.shape[0]:
         raise ValueError(f"operator size {op.shape[0]} is not a perfect square")
-    axes = CROSSING_AXES_INVERSE if inverse else CROSSING_AXES
-    return np.transpose(op.reshape(n, n, n, n), axes).reshape(n * n, n * n)
+    return _regroup(op, CROSSING_AXES_INVERSE if inverse else CROSSING_AXES)
+
+
+def crossing_row_deviations(s_gates: GateSet, t_gates: GateSet,
+                            axes: tuple[int, ...] = CROSSING_AXES) -> tuple[float, float]:
+    """Max deviations |crossed(I) - (N/2)(I + Z_t)| and |crossed(SWAP) - I| under the regrouping ``axes``."""
+    n = s_gates.channel.n
+    eye = np.eye(n * n, dtype=complex)
+    return (float(np.abs(_regroup(s_gates.s_identity, axes) - (n / 2.0) * (eye + t_gates.z_gate)).max()),
+            float(np.abs(_regroup(s_gates.z_gate, axes) - eye).max()))
 
 
 def select_crossing_axes(n: int, tolerance: float = 1e-12) -> list[tuple[int, ...]]:
@@ -269,19 +279,6 @@ def select_crossing_axes(n: int, tolerance: float = 1e-12) -> list[tuple[int, ..
     survives; ``CROSSING_AXES`` hard-codes it.
     """
     gens = build_generators(n)
-    eye = np.eye(n * n, dtype=complex)
-    swap = swap_matrix(n)
-    u = build_gates(t_channel(n), gens).z_gate
-    target_identity = (n / 2.0) * (eye + u)
-    target_swap = eye
-    winners = []
-    for tail in permutations((1, 2, 3)):
-        axes = (0,) + tail
-        crossed_eye = np.transpose(eye.reshape(n, n, n, n), axes).reshape(n * n, n * n)
-        crossed_swap = np.transpose(swap.reshape(n, n, n, n), axes).reshape(n * n, n * n)
-        if (
-            np.abs(crossed_eye - target_identity).max() <= tolerance
-            and np.abs(crossed_swap - target_swap).max() <= tolerance
-        ):
-            winners.append(axes)
-    return winners
+    s_gates, t_gates = build_gates(s_channel(n), gens), build_gates(t_channel(n), gens)
+    candidates = [(0,) + tail for tail in permutations((1, 2, 3))]
+    return [axes for axes in candidates if max(crossing_row_deviations(s_gates, t_gates, axes)) <= tolerance]

@@ -28,6 +28,7 @@ import numpy as np
 
 from .amplitude_model import AmplitudeCoefficients
 from .invariant_channels import Channel, ChannelSpec, GateSet
+from .sun_algebra import DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,6 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
 
 def build_w(plan: BlockEncodingPlan, gates: GateSet) -> np.ndarray:
     """Assemble the full ancilla-system unitary W of the encoding circuit."""
-    if plan.channel != gates.channel:
-        raise ValueError(f"plan channel {plan.channel} does not match gate channel {gates.channel}")
     return build_w_from_circuit(export_circuit(plan), gates)
 
 
@@ -117,7 +116,8 @@ def verify_block(w: np.ndarray, m: np.ndarray, alpha: float, tolerance: float) -
     d = m.shape[0]
     if w.shape[0] != 2 * d or w.shape[1] != 2 * d:
         raise ValueError(f"expected W of shape ({2*d}, {2*d}), got {w.shape}")
-    deviation = float(np.abs(w[:d, :d] - m / alpha).max())
+    # divide re and im apart: complex division multiplies by 1 / alpha, which overflows for a subnormal alpha
+    deviation = float(np.abs(w[:d, :d] - (m.real / alpha + 1j * (m.imag / alpha))).max())
     return BlockEncodingReport(max_deviation=deviation, tolerance=tolerance, passed=deviation <= tolerance)
 
 
@@ -134,7 +134,7 @@ def apply_with_postselection(
     if psi.shape != (d,):
         raise ValueError(f"expected a state vector of length {d}, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= 1e-10:
+    if not abs(norm - 1.0) <= DEFAULT_TOLERANCE:
         raise ValueError(f"input state must be normalized and finite, got norm {norm}")
     branch = _run_circuit(export_circuit(plan), gates, np.concatenate([psi, np.zeros_like(psi)]))[:d]
     probability = float(np.linalg.norm(branch) ** 2)

@@ -241,3 +241,5 @@ def test_disk_samples_geometry():
 def test_disk_samples_resolution_validation():
     with pytest.raises(ValueError):
         disk_samples(1)
+    with pytest.raises(ValueError, match="1024"):
+        disk_samples(1025)

@@ -337,6 +337,29 @@ def test_fuzz_partial_wave(tmp_path, rows):
     _check_cli_contract(tmp_path, "partial-wave", str(sectors))
 
 
+def test_subnormal_coefficients_encode(tmp_path):
+    code, text = run(tmp_path, "encode", "--n", "2", "--a=5e-324,0", "--b=0,5e-324")
+    assert code == 0
+    assert _strict_json(text)["all_passed"]
+
+
+def test_disk_resolution_above_limit_is_usage_error(tmp_path, capsys):
+    # never test a resolution that would allocate: the limit is checked before linspace
+    code, text = run(tmp_path, "disk", "--resolution", "1025")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "1024" in err and "Traceback" not in err
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    code, text = run(tmp_path, "verify", "--seed", "-1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "--seed" in err and "'-1'" in err
+
+
 def test_json_floats_round_trip_exactly(tmp_path):
     # serialized floats reparse to the same doubles the library computed
     from sun_gates.amplitude_model import AmplitudeCoefficients

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sun_gates.invariant_channels import (
     build_projectors,
     charge_parity_bilinear,
     crossing_map,
+    crossing_row_deviations,
     generator_form_projectors,
     s_channel,
     select_crossing_axes,
@@ -242,7 +245,7 @@ def test_crossing_map_inverse_recovers_operator(n):
     assert np.abs(crossing_map(crossing_map(op, inverse=True)) - op).max() == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_crossing_selection_oracle_is_unique(n):
     winners = select_crossing_axes(n)
     assert winners == [CROSSING_AXES]
@@ -260,6 +263,43 @@ def test_swap_matrix_is_permutation():
         sw = swap_matrix(n)
         assert np.abs(sw @ sw - np.eye(n * n)).max() == 0.0
         assert np.array_equal(np.sort(np.abs(sw), axis=None)[-n * n:], np.ones(n * n))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_constructions_match_index_loops(n):
+    # the reshape and outer-product constructions equal the index formulas entry for entry
+    d = n * n
+    swap = np.zeros((d, d), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            swap[i * n + j, j * n + i] = 1.0
+    assert np.array_equal(swap_matrix(n), swap)
+
+    delta = lambda x, y: float(x == y)  # noqa: E731
+    s_plus, s_minus, t_plus, t_minus = (np.zeros((d, d), dtype=complex) for _ in range(4))
+    for i, j, r, s in product(range(n), repeat=4):
+        # s-channel rows (i,j), columns (r,s); t-channel rows (k,i) = (i,j), columns (p,r) = (r,s)
+        s_plus[i * n + j, r * n + s] = (delta(i, r) * delta(j, s) + delta(j, r) * delta(i, s)) / 2
+        s_minus[i * n + j, r * n + s] = (delta(i, r) * delta(j, s) - delta(j, r) * delta(i, s)) / 2
+        t_plus[i * n + j, r * n + s] = delta(i, j) * delta(r, s) / n
+        t_minus[i * n + j, r * n + s] = delta(i, r) * delta(j, s) - delta(i, j) * delta(r, s) / n
+    gens = build_generators(n)
+    s_projs, t_projs = build_projectors(s_channel(n), gens), build_projectors(t_channel(n), gens)
+    assert np.array_equal(s_projs.p_plus, s_plus) and np.array_equal(s_projs.p_minus, s_minus)
+    assert np.array_equal(t_projs.p_plus, t_plus) and np.array_equal(t_projs.p_minus, t_minus)
+
+    rng = np.random.default_rng(n)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    crossed = np.zeros((d, d), dtype=complex)
+    for a, b, c, e in product(range(n), repeat=4):
+        crossed[a * n + b, c * n + e] = op[a * n + e, b * n + c]
+    assert np.array_equal(crossing_map(op), crossed)
+
+    s_gates, t_gates = build_gates(s_channel(n), gens), build_gates(t_channel(n), gens)
+    eye = np.eye(d, dtype=complex)
+    inline = (np.abs(crossing_map(s_gates.s_identity) - (n / 2.0) * (eye + t_gates.z_gate)).max(),
+              np.abs(crossing_map(s_gates.z_gate) - eye).max())
+    assert np.array_equal(crossing_row_deviations(s_gates, t_gates), inline)
 
 
 def test_build_projectors_dimension_mismatch():

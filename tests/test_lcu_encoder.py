@@ -170,6 +170,17 @@ def test_verify_block_trivial_and_corrupted():
     assert report.max_deviation > 1e-3
 
 
+def test_verify_block_at_subnormal_alpha():
+    # complex division by alpha = 1e-323 multiplies by 1 / alpha, which overflows
+    spec, gates = channel_setup(2)
+    coeffs = AmplitudeCoefficients(spec, 5e-324, 5e-324j)
+    plan = plan_encoding(coeffs)
+    assert plan.alpha == 1e-323
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        report = verify_block(build_w(plan, gates), amplitude_operator(coeffs, gates), plan.alpha, 1e-12)
+    assert report.passed
+
+
 def test_postselection_identity_leaves_state():
     spec, gates = channel_setup(2)
     plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0))
