@@ -22,7 +22,6 @@ from sun_gates.lcu_encoder import (
     plan_encoding,
     verify_block,
 )
-from sun_gates.sun_algebra import build_generators
 
 
 def main():
@@ -34,8 +33,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     spec = ChannelSpec(Channel(args.channel), args.n)
-    gens = build_generators(args.n)
-    gates = build_gates(spec, gens)
+    gates = build_gates(spec)
 
     a, b = (complex(*pair) for pair in rng.normal(size=(2, 2)))
     coeffs = AmplitudeCoefficients(spec, a, b)

@@ -54,16 +54,14 @@ from .lcu_encoder import (
     ry,
     verify_block,
 )
-from .qudit_ops import OperatorBasisDecomposition, decompose, reconstruct, tensor
+from .qudit_ops import OperatorBasisDecomposition, decompose, reconstruct
 from .sun_algebra import (
     DEFAULT_TOLERANCE,
     CompletenessReport,
     GeneratorSet,
-    StructureConstants,
     build_generators,
     hermiticity_deviation,
     orthonormality_deviation,
-    structure_constants,
     tracelessness_deviation,
     verify_completeness,
 )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitude_model import (
+    MAX_DISK_RESOLUTION,
     AmplitudeCoefficients,
     PartialWaveSector,
     amplitude_operator,
@@ -33,7 +34,6 @@ from .invariant_channels import (
     Channel,
     ChannelSpec,
     build_gates,
-    build_projectors,
     crossing_map,
     crossing_row_deviations,
     generator_form_projectors,
@@ -59,6 +59,9 @@ from .sun_algebra import (
 )
 
 ENV_TOLERANCE = "SUN_GATES_TOLERANCE"
+
+#: Largest accepted --n: every command holds dense N^2 x N^2 (and N^4-entry) arrays.
+MAX_DIMENSION = 32
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -100,7 +103,8 @@ def _checked(convert, accept, requirement: str):
     return parse
 
 
-_dimension = _checked(int, lambda n: n >= 2, "qudit dimension must be an integer of at least 2")
+_dimension = _checked(int, lambda n: 2 <= n <= MAX_DIMENSION,
+                      f"qudit dimension must be an integer of at least 2 and at most {MAX_DIMENSION}")
 _tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0,
                       f"tolerance (--tolerance, else {ENV_TOLERANCE}) must be finite and positive")
 _seed = _checked(int, lambda s: s >= 0, "seed must be an integer of at least 0")
@@ -140,19 +144,18 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
 
     eye = np.eye(d, dtype=complex)
     # both channels' gates: the crossing checks below tie them together, so they always run
-    s_gates, t_gates = (build_gates(ChannelSpec(kind, n), gens) for kind in (Channel.S, Channel.T))
+    s_gates, t_gates = (build_gates(ChannelSpec(kind, n)) for kind in (Channel.S, Channel.T))
     for kind in kinds:
-        spec = ChannelSpec(kind, n)
         tag = kind.value
-        projs = build_projectors(spec, gens)
         gates = s_gates if kind is Channel.S else t_gates
-        p_plus, p_minus = projs.p_plus, projs.p_minus
-        g_plus, g_minus = generator_form_projectors(spec, gens)
+        z = gates.z_gate
+        # the gates are P+ + P- and P+ - P-, so half their sum and difference are the projectors
+        p_plus, p_minus = (gates.s_identity + z) / 2.0, (gates.s_identity - z) / 2.0
+        g_plus, g_minus = generator_form_projectors(gates.channel, gens)
         if kind is Channel.S:
             trace_plus, trace_minus = n * (n + 1) / 2.0, n * (n - 1) / 2.0
         else:
             trace_plus, trace_minus = 1.0, float(d - 1)
-        z = gates.z_gate
         results += [
             check(f"projector_idempotence[{tag}]",
                   max(_max_abs(p_plus @ p_plus - p_plus), _max_abs(p_minus @ p_minus - p_minus))),
@@ -263,8 +266,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     channel = ChannelSpec(Channel(args.channel or "s"), n)
     coeffs = AmplitudeCoefficients(channel, parse_complex(args.a), parse_complex(args.b))
     plan = plan_encoding(coeffs)
-    gens = build_generators(n)
-    gates = build_gates(channel, gens)
+    gates = build_gates(channel)
     w = build_w(plan, gates)
     m = amplitude_operator(coeffs, gates)
     report = verify_block(w, m, plan.alpha, args.tolerance)
@@ -291,11 +293,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_cross(args: argparse.Namespace) -> int:
     a, b = parse_complex(args.a), parse_complex(args.b)
     source = ChannelSpec(Channel(args.channel or "s"), args.n)
-    gens = build_generators(args.n)
     crossed, round_trip_dev, operator_dev = _crossing_deviations(
         AmplitudeCoefficients(source, a, b),
-        build_gates(ChannelSpec(Channel.S, args.n), gens),
-        build_gates(ChannelSpec(Channel.T, args.n), gens),
+        build_gates(ChannelSpec(Channel.S, args.n)),
+        build_gates(ChannelSpec(Channel.T, args.n)),
     )
     all_passed = operator_dev <= args.tolerance and round_trip_dev <= args.tolerance
     payload = {
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sun-gates", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
-        "--n": dict(type=_dimension, default=3, help="qudit dimension N >= 2 (default 3)"),
+        "--n": dict(type=_dimension, default=3, help=f"qudit dimension N, 2 to {MAX_DIMENSION} (default 3)"),
         "--channel": dict(choices=["s", "t"], default=None,
                           help="scattering channel (default s; verify runs both when omitted)"),
         # a string default goes through _tolerance; argparse converts it only when the flag is absent
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--a": dict(required=True, help="coefficient of the identity gate, re,im"),
         "--b": dict(required=True, help="coefficient of the Z gate, re,im"),
         "--psi": dict(default=None, help="optional system state: N^2 comma-separated real amplitudes"),
-        "--resolution": dict(type=int, default=8, help="boundary sample count (2 to 1024)"),
+        "--resolution": dict(type=int, default=8, help=f"boundary sample count (2 to {MAX_DISK_RESOLUTION})"),
         "--format": dict(choices=["csv", "json"], default="csv", help="payload format (default csv)"),
         "--output": dict(default=None, help="write output to this path instead of stdout"),
         "sectors_file": dict(help="CSV with header j,re_a,im_a,re_b,im_b,kappa"),

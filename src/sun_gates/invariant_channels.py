@@ -35,7 +35,7 @@ from math import isqrt
 
 import numpy as np
 
-from .sun_algebra import GeneratorSet, build_generators
+from .sun_algebra import GeneratorSet
 
 #: Axes permutation (for a (N,N,N,N)-reshaped operator) implementing the
 #: s -> t crossing reshuffle; select_crossing_axes re-derives it at N = 2, 3, 4.
@@ -117,12 +117,7 @@ def swap_matrix(n: int) -> np.ndarray:
     return _regroup(np.eye(n * n, dtype=complex), (1, 0, 2, 3))
 
 
-def _check_channel(channel: ChannelSpec, gens: GeneratorSet) -> None:
-    if channel.n != gens.n:
-        raise ValueError(f"channel is for N={channel.n}, generators for N={gens.n}")
-
-
-def build_projectors(channel: ChannelSpec, gens: GeneratorSet) -> ProjectorSet:
+def build_projectors(channel: ChannelSpec) -> ProjectorSet:
     """Build the channel projector pair from the delta index formulas.
 
     s-channel: P_plus[(i,j),(r,s)] = (d_ir d_js + d_jr d_is) / 2 and
@@ -130,7 +125,6 @@ def build_projectors(channel: ChannelSpec, gens: GeneratorSet) -> ProjectorSet:
     P_plus[(k,i),(p,r)] = d_ki d_pr / N and
     P_minus[(k,i),(p,r)] = d_kp d_ir - d_ki d_pr / N.
     """
-    _check_channel(channel, gens)
     n = channel.n
     eye = np.eye(n * n, dtype=complex)
     if channel.kind is Channel.S:
@@ -156,7 +150,8 @@ def generator_form_projectors(channel: ChannelSpec, gens: GeneratorSet) -> tuple
     Returns the pair (p_plus, p_minus); agrees entrywise with
     ``build_projectors`` at machine precision.
     """
-    _check_channel(channel, gens)
+    if channel.n != gens.n:
+        raise ValueError(f"channel is for N={channel.n}, generators for N={gens.n}")
     n = channel.n
     eye = np.eye(n * n, dtype=complex)
     if channel.kind is Channel.S:
@@ -179,9 +174,9 @@ def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:
     return sum(np.kron(t, t.T) for t in gens)
 
 
-def build_gates(channel: ChannelSpec, gens: GeneratorSet) -> GateSet:
+def build_gates(channel: ChannelSpec) -> GateSet:
     """Build the invariant gate pair as sum and difference of the projectors."""
-    projs = build_projectors(channel, gens)
+    projs = build_projectors(channel)
     return GateSet(
         channel=channel,
         s_identity=projs.p_plus + projs.p_minus,
@@ -278,7 +273,6 @@ def select_crossing_axes(n: int, tolerance: float = 1e-12) -> list[tuple[int, ..
     crossed(swap) = identity at dimension ``n``.  Exactly one candidate
     survives; ``CROSSING_AXES`` hard-codes it.
     """
-    gens = build_generators(n)
-    s_gates, t_gates = build_gates(s_channel(n), gens), build_gates(t_channel(n), gens)
+    s_gates, t_gates = build_gates(s_channel(n)), build_gates(t_channel(n))
     candidates = [(0,) + tail for tail in permutations((1, 2, 3))]
     return [axes for axes in candidates if max(crossing_row_deviations(s_gates, t_gates, axes)) <= tolerance]

@@ -1,4 +1,4 @@
-"""Two-qudit operator plumbing: tensor products and operator-basis projections.
+"""Two-qudit operator plumbing: operator-basis projections.
 
 Index convention, used everywhere in this package: a two-qudit operator is an
 N^2 x N^2 complex matrix whose row index encodes the outgoing pair (k, l)
@@ -15,17 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sun_algebra import GeneratorSet
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product of two square operators."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"first factor must be square, got shape {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"second factor must be square, got shape {b.shape}")
-    return np.kron(a, b)
 
 
 @dataclass(frozen=True, eq=False)

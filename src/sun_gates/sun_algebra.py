@@ -53,14 +53,6 @@ class GeneratorSet:
         return self.generators[a]
 
 
-@dataclass(frozen=True, eq=False)
-class StructureConstants:
-    """Totally antisymmetric structure constants f_abc of su(N)."""
-
-    n: int
-    f: np.ndarray  # real, shape (N^2-1, N^2-1, N^2-1)
-
-
 @dataclass(frozen=True)
 class CompletenessReport:
     """Result of checking the completeness (Fierz) identity."""
@@ -132,31 +124,6 @@ def orthonormality_deviation(gens: GeneratorSet) -> float:
     gram = np.einsum("aij,bji->ab", gens.generators, gens.generators)
     d = len(gens)
     return float(np.abs(gram - 0.5 * np.eye(d)).max())
-
-
-def structure_constants(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE) -> StructureConstants:
-    """Extract f_abc from the commutators of a generator set.
-
-    Uses f_abc = -2i Tr([T^a, T^b] T^c), which inverts
-    [T^a, T^b] = i f_abc T^c under the delta_ab / 2 trace normalization.
-
-    Raises
-    ------
-    ValueError
-        If any extracted coefficient has imaginary part above ``tolerance``,
-        which signals a broken generator set.
-    """
-    t = gens.generators
-    prod = np.einsum("aij,bjk->abik", t, t)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    f = -2j * np.einsum("abik,cki->abc", comm, t)
-    max_imag = float(np.abs(f.imag).max())
-    if max_imag > tolerance:
-        raise ValueError(
-            f"structure constants have imaginary part up to {max_imag:.3e} "
-            f"(tolerance {tolerance:.1e}); generator set is not orthonormal Hermitian"
-        )
-    return StructureConstants(n=gens.n, f=f.real)
 
 
 def verify_completeness(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE) -> CompletenessReport:

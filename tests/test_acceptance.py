@@ -90,7 +90,7 @@ def test_criterion_2_projector_suite():
         eye = np.eye(n * n)
         for kind in (Channel.S, Channel.T):
             spec = ChannelSpec(kind, n)
-            projs = build_projectors(spec, gens)
+            projs = build_projectors(spec)
             p, q = projs.p_plus, projs.p_minus
             if kind is Channel.S:
                 traces = (n * (n + 1) / 2.0, n * (n - 1) / 2.0)
@@ -120,7 +120,7 @@ def test_criterion_3_gate_suite():
         gens = build_generators(n)
         eye = np.eye(n * n)
         for kind in (Channel.S, Channel.T):
-            gates = build_gates(ChannelSpec(kind, n), gens)
+            gates = build_gates(ChannelSpec(kind, n))
             z = gates.z_gate
             worst = max(
                 worst,
@@ -148,9 +148,8 @@ def test_criterion_3_gate_suite():
 def test_criterion_4_crossing():
     rows_worst = 0.0
     for n in range(2, 7):
-        gens = build_generators(n)
-        s_gates = build_gates(ChannelSpec(Channel.S, n), gens)
-        t_gates = build_gates(ChannelSpec(Channel.T, n), gens)
+        s_gates = build_gates(ChannelSpec(Channel.S, n))
+        t_gates = build_gates(ChannelSpec(Channel.T, n))
         eye = np.eye(n * n)
         rows_worst = max(
             rows_worst,
@@ -178,11 +177,10 @@ def test_criterion_5_amplitude_algebra():
     worst_scalar = 0.0
     worst_residual = 0.0
     for n in range(2, 7):
-        gens = build_generators(n)
         for kind in (Channel.S, Channel.T):
             spec = ChannelSpec(kind, n)
-            projs = build_projectors(spec, gens)
-            gates = build_gates(spec, gens)
+            projs = build_projectors(spec)
+            gates = build_gates(spec)
             for a, b in random_pairs(rng, 100):
                 m = amplitude_operator(AmplitudeCoefficients(spec, a, b), gates)
                 mp, mm = scalar_amplitudes(m, projs)
@@ -196,12 +194,11 @@ def test_criterion_5_amplitude_algebra():
 
 
 def test_criterion_6_unitary_parameterization():
-    gens = build_generators(3)
     worst_matrix = 0.0
     worst_norm = 0.0
     worst_overlap = 0.0
     for kind in (Channel.S, Channel.T):
-        gates = build_gates(ChannelSpec(kind, 3), gens)
+        gates = build_gates(ChannelSpec(kind, 3))
         for theta in np.linspace(0.0, 2.0 * np.pi, 8):
             for phi in np.linspace(-np.pi, np.pi, 8):
                 c = unitary_parameterization(theta, phi, gates)
@@ -224,11 +221,10 @@ def test_criterion_7_block_encoding():
     worst_probability = 0.0
     structure_ok = True
     for n in range(2, 7):
-        gens = build_generators(n)
         eye = np.eye(2 * n * n)
         for kind in (Channel.S, Channel.T):
             spec = ChannelSpec(kind, n)
-            gates = build_gates(spec, gens)
+            gates = build_gates(spec)
             for a, b in random_pairs(rng, 50):
                 coeffs = AmplitudeCoefficients(spec, a, b)
                 plan = plan_encoding(coeffs)

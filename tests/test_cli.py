@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -350,6 +352,52 @@ def test_disk_resolution_above_limit_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert "1024" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generators", "verify", "encode", "cross"])
+def test_dimension_above_limit_is_usage_error(tmp_path, capsys, command):
+    # never test a dimension that would allocate: the limit is checked while parsing
+    coefficients = ["--a", "1,0", "--b", "0,0"] if command in ("encode", "cross") else []
+    code, text = run(tmp_path, command, "--n", "33", *coefficients)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "--n" in err and "'33'" in err and "32" in err
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named function wherever a ``sun_gates`` module binds it; return the live call counts."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    for name in names:
+        modules = [m for key, m in list(sys.modules.items()) if key.startswith("sun_gates") and hasattr(m, name)]
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["encode", "cross"])
+def test_coefficient_commands_build_no_generators(tmp_path, monkeypatch, command):
+    # the channel gates depend on N alone, so these commands never need the su(N) generators
+    calls = count_calls(monkeypatch, "build_generators")
+    code, data = run_json(tmp_path, command, "--n", "3", "--a", "0.6,0", "--b", "0,0.8")
+    assert code == 0
+    assert data["all_passed"]
+    assert calls["build_generators"] == 0
+
+
+def test_verify_builds_each_channel_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, "build_generators", "build_projectors", "build_gates")
+    code, data = run_json(tmp_path, "verify", "--n", "3")
+    assert code == 0
+    assert data["all_passed"]
+    assert calls == {"build_generators": 1, "build_projectors": 2, "build_gates": 2}
 
 
 def test_negative_seed_is_usage_error(tmp_path, capsys):

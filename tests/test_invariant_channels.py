@@ -46,12 +46,10 @@ def test_channel_spec_validation():
 
 
 def test_projector_traces_small_cases():
-    gens2 = build_generators(2)
-    projs = build_projectors(s_channel(2), gens2)
+    projs = build_projectors(s_channel(2))
     assert abs(np.trace(projs.p_plus) - 3.0) < 1e-14
     assert abs(np.trace(projs.p_minus) - 1.0) < 1e-14
-    gens3 = build_generators(3)
-    projs = build_projectors(t_channel(3), gens3)
+    projs = build_projectors(t_channel(3))
     assert abs(np.trace(projs.p_plus) - 1.0) < 1e-14
     assert abs(np.trace(projs.p_minus) - 8.0) < 1e-14
 
@@ -59,9 +57,8 @@ def test_projector_traces_small_cases():
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", [Channel.S, Channel.T])
 def test_projector_set_invariants(n, kind):
-    gens = build_generators(n)
     spec = ChannelSpec(kind, n)
-    projs = build_projectors(spec, gens)
+    projs = build_projectors(spec)
     p, q = projs.p_plus, projs.p_minus
     eye = np.eye(n * n)
     assert np.abs(p @ p - p).max() <= 1e-12
@@ -81,21 +78,20 @@ def test_projector_set_invariants(n, kind):
 def test_index_form_matches_generator_form(n, kind):
     gens = build_generators(n)
     spec = ChannelSpec(kind, n)
-    projs = build_projectors(spec, gens)
+    projs = build_projectors(spec)
     g_plus, g_minus = generator_form_projectors(spec, gens)
     assert np.abs(projs.p_plus - g_plus).max() <= 1e-12
     assert np.abs(projs.p_minus - g_minus).max() <= 1e-12
 
 
 def test_swap_gate_is_the_permutation_matrix():
-    gens = build_generators(2)
-    gates = build_gates(s_channel(2), gens)
+    gates = build_gates(s_channel(2))
     np.testing.assert_array_equal(gates.z_gate, SWAP_2)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_swap_gate_acts_entrywise(n):
-    gates = build_gates(s_channel(n), build_generators(n))
+    gates = build_gates(s_channel(n))
     for i in range(n):
         for j in range(n):
             ket = np.zeros(n * n, dtype=complex)
@@ -109,8 +105,7 @@ def test_swap_gate_acts_entrywise(n):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", [Channel.S, Channel.T])
 def test_gate_set_invariants(n, kind):
-    gens = build_generators(n)
-    gates = build_gates(ChannelSpec(kind, n), gens)
+    gates = build_gates(ChannelSpec(kind, n))
     z = gates.z_gate
     eye = np.eye(n * n)
     assert np.abs(gates.s_identity - eye).max() <= 1e-12
@@ -124,7 +119,7 @@ def test_gate_set_invariants(n, kind):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_charge_parity_spectrum(n):
-    gates = build_gates(t_channel(n), build_generators(n))
+    gates = build_gates(t_channel(n))
     evals = np.sort(np.linalg.eigvalsh(gates.z_gate))
     assert np.abs(evals[:-1] + 1.0).max() <= 1e-10
     assert abs(evals[-1] - 1.0) <= 1e-10
@@ -140,11 +135,10 @@ def test_singlet_state_explicit_n2():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_singlet_state_properties(n):
-    gens = build_generators(n)
     psi = singlet_state(n)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
-    projs = build_projectors(t_channel(n), gens)
-    gates = build_gates(t_channel(n), gens)
+    projs = build_projectors(t_channel(n))
+    gates = build_gates(t_channel(n))
     assert np.abs(gates.z_gate @ psi - psi).max() <= 1e-12
     assert np.abs(projs.p_plus @ psi - psi).max() <= 1e-12
 
@@ -160,7 +154,7 @@ def test_adjoint_state_from_diagonal_generator():
 def test_adjoint_states_properties(n):
     gens = build_generators(n)
     states = adjoint_states(gens)
-    gates = build_gates(t_channel(n), gens)
+    gates = build_gates(t_channel(n))
     psi = singlet_state(n)
     assert states.shape == (n * n - 1, n * n)
     for state in states:
@@ -175,9 +169,8 @@ def test_adjoint_states_properties(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orthogonal_complement_has_eigenvalue_minus_one(n):
-    gens = build_generators(n)
-    projs = build_projectors(t_channel(n), gens)
-    gates = build_gates(t_channel(n), gens)
+    projs = build_projectors(t_channel(n))
+    gates = build_gates(t_channel(n))
     rng = np.random.default_rng(42 + n)
     for _ in range(5):
         vec = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
@@ -199,7 +192,7 @@ def test_charge_parity_bilinear_eigenvalues_n2():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exponential_form_matches_gate_up_to_phase(n):
     gens = build_generators(n)
-    gates = build_gates(t_channel(n), gens)
+    gates = build_gates(t_channel(n))
     u_exp = u_exponential_form(gens)
     overlap = abs(np.einsum("ij,ij", gates.z_gate.conj(), u_exp)) / (n * n)
     assert overlap >= 1.0 - 1e-8
@@ -225,10 +218,9 @@ def test_exponential_form_rejects_three_eigenvalue_clusters():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_crossing_rows(n):
-    gens = build_generators(n)
-    s_gates = build_gates(s_channel(n), gens)
-    t_gates = build_gates(t_channel(n), gens)
-    projs = build_projectors(t_channel(n), gens)
+    s_gates = build_gates(s_channel(n))
+    t_gates = build_gates(t_channel(n))
+    projs = build_projectors(t_channel(n))
     eye = np.eye(n * n)
     crossed_identity = crossing_map(s_gates.s_identity)
     crossed_swap = crossing_map(s_gates.z_gate)
@@ -283,8 +275,7 @@ def test_constructions_match_index_loops(n):
         s_minus[i * n + j, r * n + s] = (delta(i, r) * delta(j, s) - delta(j, r) * delta(i, s)) / 2
         t_plus[i * n + j, r * n + s] = delta(i, j) * delta(r, s) / n
         t_minus[i * n + j, r * n + s] = delta(i, r) * delta(j, s) - delta(i, j) * delta(r, s) / n
-    gens = build_generators(n)
-    s_projs, t_projs = build_projectors(s_channel(n), gens), build_projectors(t_channel(n), gens)
+    s_projs, t_projs = build_projectors(s_channel(n)), build_projectors(t_channel(n))
     assert np.array_equal(s_projs.p_plus, s_plus) and np.array_equal(s_projs.p_minus, s_minus)
     assert np.array_equal(t_projs.p_plus, t_plus) and np.array_equal(t_projs.p_minus, t_minus)
 
@@ -295,13 +286,14 @@ def test_constructions_match_index_loops(n):
         crossed[a * n + b, c * n + e] = op[a * n + e, b * n + c]
     assert np.array_equal(crossing_map(op), crossed)
 
-    s_gates, t_gates = build_gates(s_channel(n), gens), build_gates(t_channel(n), gens)
+    s_gates, t_gates = build_gates(s_channel(n)), build_gates(t_channel(n))
     eye = np.eye(d, dtype=complex)
     inline = (np.abs(crossing_map(s_gates.s_identity) - (n / 2.0) * (eye + t_gates.z_gate)).max(),
               np.abs(crossing_map(s_gates.z_gate) - eye).max())
     assert np.array_equal(crossing_row_deviations(s_gates, t_gates), inline)
 
 
-def test_build_projectors_dimension_mismatch():
+
+def test_generator_form_projectors_dimension_mismatch():
     with pytest.raises(ValueError):
-        build_projectors(s_channel(3), build_generators(2))
+        generator_form_projectors(s_channel(3), build_generators(2))

@@ -23,7 +23,7 @@ from sun_gates.lcu_encoder import (
     ry,
     verify_block,
 )
-from sun_gates.sun_algebra import DEFAULT_TOLERANCE, build_generators
+from sun_gates.sun_algebra import DEFAULT_TOLERANCE
 
 nonzero_pairs = st.tuples(
     st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
@@ -32,9 +32,8 @@ nonzero_pairs = st.tuples(
 
 
 def channel_setup(n, kind="s"):
-    gens = build_generators(n)
     spec = s_channel(n) if kind == "s" else t_channel(n)
-    return spec, build_gates(spec, gens)
+    return spec, build_gates(spec)
 
 
 def dense_w(plan, gates):
@@ -101,7 +100,7 @@ def test_block_of_identity_plan_is_identity_gate():
 
 def test_block_of_equal_weights_is_symmetric_projector():
     spec, gates = channel_setup(2)
-    projs = build_projectors(spec, build_generators(2))
+    projs = build_projectors(spec)
     plan = plan_encoding(AmplitudeCoefficients(spec, 0.5, 0.5))
     w = build_w(plan, gates)
     assert np.abs(w[:4, :4] - projs.p_plus).max() <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sun_gates.qudit_ops import decompose, reconstruct, tensor
+from sun_gates.qudit_ops import decompose, reconstruct
 from sun_gates.sun_algebra import build_generators
 
 complex_scalars = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
@@ -12,39 +12,6 @@ complex_scalars = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_in
 def random_operator(n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-
-
-def test_tensor_identity():
-    np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_matches_index_formula():
-    # (sigma_x / 2) (x) I_2, frozen from (A (x) B)[(k*2+l),(i*2+j)] = A_ki B_lj
-    half_sx = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
-    expected = np.array(
-        [
-            [0.0, 0.0, 0.5, 0.0],
-            [0.0, 0.0, 0.0, 0.5],
-            [0.5, 0.0, 0.0, 0.0],
-            [0.0, 0.5, 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
-    np.testing.assert_allclose(tensor(half_sx, np.eye(2)), expected, atol=1e-15)
-
-
-@given(scale=complex_scalars)
-def test_tensor_is_bilinear(scale):
-    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    b = np.array([[0.0, 1j], [-1j, 5.0]], dtype=complex)
-    np.testing.assert_allclose(tensor(scale * a, b), scale * tensor(a, b), atol=1e-9, rtol=1e-12)
-
-
-def test_tensor_rejects_non_square():
-    with pytest.raises(ValueError):
-        tensor(np.zeros((2, 3)), np.eye(2))
-    with pytest.raises(ValueError):
-        tensor(np.eye(2), np.zeros((3, 2)))
 
 
 def test_decompose_identity():
@@ -58,7 +25,7 @@ def test_decompose_identity():
 
 def test_decompose_picks_out_single_correlation():
     gens = build_generators(2)
-    op = tensor(gens[0], gens[1])
+    op = np.kron(gens[0], gens[1])
     dec = decompose(op, gens)
     expected = np.zeros((3, 3), dtype=complex)
     expected[0, 1] = 1.0

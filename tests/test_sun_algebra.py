@@ -6,7 +6,6 @@ from sun_gates.sun_algebra import (
     build_generators,
     hermiticity_deviation,
     orthonormality_deviation,
-    structure_constants,
     tracelessness_deviation,
     verify_completeness,
 )
@@ -54,61 +53,6 @@ def test_generator_invariants(n):
 def test_rejects_dimension_below_two(n):
     with pytest.raises(ValueError):
         build_generators(n)
-
-
-def test_su2_structure_constants_are_levi_civita():
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        eps[i, j, k] = 1.0
-        eps[j, i, k] = -1.0
-    f = structure_constants(build_generators(2)).f
-    np.testing.assert_allclose(f, eps, atol=1e-14)
-
-
-def test_su3_structure_constant_values():
-    # with the sym/anti/diag ordering, [T^1, T^2] = (i/2) T^6, so f_126 = 1/2
-    # (hand computation from the basis matrices); f_123 vanishes
-    f = structure_constants(build_generators(3)).f
-    assert abs(f[0, 1, 5] - 0.5) < 1e-14
-    assert abs(f[0, 1, 2]) < 1e-14
-    assert abs(f[0, 0, 7]) < 1e-14  # repeated index, forced by antisymmetry
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_structure_constants_totally_antisymmetric(n):
-    f = structure_constants(build_generators(n)).f
-    assert np.abs(f + f.transpose(1, 0, 2)).max() <= 1e-12
-    assert np.abs(f + f.transpose(0, 2, 1)).max() <= 1e-12
-    assert np.abs(f - f.transpose(2, 0, 1)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_structure_constants_reproduce_commutators(n):
-    gens = build_generators(n)
-    f = structure_constants(gens).f
-    t = gens.generators
-    comm = np.einsum("aij,bjk->abik", t, t) - np.einsum("bij,ajk->abik", t, t)
-    rebuilt = 1j * np.einsum("abc,cik->abik", f, t)
-    assert np.abs(comm - rebuilt).max() <= 1e-12
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_jacobi_identity(n):
-    f = structure_constants(build_generators(n)).f
-    jac = (
-        np.einsum("ade,bcd->abce", f, f)
-        + np.einsum("bde,cad->abce", f, f)
-        + np.einsum("cde,abd->abce", f, f)
-    )
-    assert np.abs(jac).max() <= 1e-10
-
-
-def test_structure_constants_reject_broken_generator_set():
-    # a non-Hermitian third matrix leaks imaginary parts into f
-    mats = np.array([SIGMA_X / 2, SIGMA_Y / 2, (1 + 0.3j) * SIGMA_Z / 2])
-    broken = GeneratorSet(n=2, generators=mats)
-    with pytest.raises(ValueError, match="imaginary"):
-        structure_constants(broken)
 
 
 @pytest.mark.parametrize("n", [2, 3])
