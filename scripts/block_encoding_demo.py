@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
+from sun_gates.cli import _dimension, _seed
 from sun_gates.invariant_channels import Channel, ChannelSpec, build_gates
 from sun_gates.lcu_encoder import (
     apply_with_postselection,
@@ -26,9 +27,10 @@ from sun_gates.lcu_encoder import (
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=3)
+    # the CLI's converters, so a bad value exits 2 with the CLI's message
+    parser.add_argument("--n", type=_dimension, default=3)
     parser.add_argument("--channel", choices=["s", "t"], default="t")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_seed, default=1)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)

@@ -6,16 +6,17 @@ Usage: python scripts/identity_sweep.py [--max-n 8] [--seed 0]
 
 import argparse
 
-from sun_gates.cli import identity_checks
+from sun_gates.cli import _seed, _tolerance, _verify_dimension, identity_checks
 from sun_gates.invariant_channels import Channel
 from sun_gates.sun_algebra import DEFAULT_TOLERANCE
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    # the CLI's converters: --max-n has verify's bounds, since each N runs verify's identity suite
+    parser.add_argument("--max-n", type=_verify_dimension, default=8)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     args = parser.parse_args()
 
     dims = range(2, args.max_n + 1)

@@ -46,8 +46,6 @@ from .lcu_encoder import (
     PostselectionResult,
     apply_with_postselection,
     build_w,
-    build_w_from_circuit,
-    circuit_from_json,
     circuit_to_json,
     export_circuit,
     plan_encoding,

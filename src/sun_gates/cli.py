@@ -62,6 +62,8 @@ ENV_TOLERANCE = "SUN_GATES_TOLERANCE"
 
 #: Largest accepted --n: every command holds dense N^2 x N^2 (and N^4-entry) arrays.
 MAX_DIMENSION = 32
+#: Largest --n for verify: its decompose/reconstruct round trip is an O(N^8) einsum, ~50 s at N = 16.
+MAX_VERIFY_DIMENSION = 16
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -105,6 +107,9 @@ def _checked(convert, accept, requirement: str):
 
 _dimension = _checked(int, lambda n: 2 <= n <= MAX_DIMENSION,
                       f"qudit dimension must be an integer of at least 2 and at most {MAX_DIMENSION}")
+# _dimension's own message wins above MAX_DIMENSION, so each limit is named where it applies
+_verify_dimension = _checked(_dimension, lambda n: n <= MAX_VERIFY_DIMENSION,
+                             f"verify takes a qudit dimension of at most {MAX_VERIFY_DIMENSION}")
 _tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0,
                       f"tolerance (--tolerance, else {ENV_TOLERANCE}) must be finite and positive")
 _seed = _checked(int, lambda s: s >= 0, "seed must be an integer of at least 0")
@@ -409,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
         "--n": dict(type=_dimension, default=3, help=f"qudit dimension N, 2 to {MAX_DIMENSION} (default 3)"),
+        "verify --n": dict(type=_verify_dimension, default=3,
+                           help=f"qudit dimension N, 2 to {MAX_VERIFY_DIMENSION} (default 3)"),
         "--channel": dict(choices=["s", "t"], default=None,
                           help="scattering channel (default s; verify runs both when omitted)"),
         # a string default goes through _tolerance; argparse converts it only when the flag is absent
@@ -438,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         for flag in [*flags.split(), "--output"]:
-            p.add_argument(flag, **options[flag])
+            # a "command flag" key overrides the shared flag for that command alone
+            p.add_argument(flag, **options.get(f"{name} {flag}", options[flag]))
     return parser
 
 

@@ -15,7 +15,9 @@ H_N (x) H_N:
 Because the second factor of the t-channel carries the conjugate
 representation, its generator bilinear enters the computational basis with a
 transposed second factor: the singlet/adjoint projectors are affine in
-X = sum_a T^a (x) (T^a)^T, not in sum_a T^a (x) T^a.
+X = sum_a T^a (x) (T^a)^T, not in sum_a T^a (x) T^a.  Both bilinears are index
+regroupings of one Fierz tensor, sum_a vec(T^a) vec(T^a)^T; the t-channel one
+is the partial transpose, i.e. the crossing, of the s-channel one.
 
 The crossing reshuffle relating the two channel gate bases is the index
 regrouping crossed[(a,b),(c,d)] = op[(a,d),(b,c)]: the first outgoing leg is a
@@ -35,12 +37,11 @@ from math import isqrt
 
 import numpy as np
 
-from .sun_algebra import GeneratorSet
+from .sun_algebra import GeneratorSet, _fierz_tensor
 
 #: Axes permutation (for a (N,N,N,N)-reshaped operator) implementing the
 #: s -> t crossing reshuffle; select_crossing_axes re-derives it at N = 2, 3, 4.
 CROSSING_AXES = (0, 2, 3, 1)
-CROSSING_AXES_INVERSE = tuple(np.argsort(CROSSING_AXES).tolist())
 
 #: Minimum eigenvalue separation used when counting spectral multiplicities.
 EIGENVALUE_GAP = 1e-6
@@ -155,7 +156,7 @@ def generator_form_projectors(channel: ChannelSpec, gens: GeneratorSet) -> tuple
     n = channel.n
     eye = np.eye(n * n, dtype=complex)
     if channel.kind is Channel.S:
-        x = sum(np.kron(t, t) for t in gens)
+        x = _regroup(_fierz_tensor(gens), (0, 2, 1, 3))
         p_plus = (n + 1) / (2.0 * n) * eye + x
         p_minus = (n - 1) / (2.0 * n) * eye - x
     else:
@@ -171,7 +172,7 @@ def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:
     X has exactly two eigenvalues: (N^2-1)/(2N) on the singlet and -1/(2N) on
     the adjoint subspace.
     """
-    return sum(np.kron(t, t.T) for t in gens)
+    return _regroup(_fierz_tensor(gens), (0, 3, 1, 2))
 
 
 def build_gates(channel: ChannelSpec) -> GateSet:
@@ -240,19 +241,18 @@ def u_exponential_form(gens: GeneratorSet) -> np.ndarray:
     return (evecs * phases) @ evecs.conj().T
 
 
-def crossing_map(op: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Reshuffle a two-qudit operator between the two channel index pairings.
+def crossing_map(op: np.ndarray) -> np.ndarray:
+    """Reshuffle a two-qudit s-channel operator into the t-channel index pairing.
 
-    Forward direction regroups crossed[(a,b),(c,d)] = op[(a,d),(b,c)], taking
-    s-channel operators into the t-channel basis; ``inverse=True`` applies the
-    inverse regrouping, recovering the original operator.
+    Regroups crossed[(a,b),(c,d)] = op[(a,d),(b,c)].  Amplitudes cross in
+    either direction through ``amplitude_model.cross_coefficients``.
     """
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square operator, got shape {op.shape}")
     if isqrt(op.shape[0]) ** 2 != op.shape[0]:
         raise ValueError(f"operator size {op.shape[0]} is not a perfect square")
-    return _regroup(op, CROSSING_AXES_INVERSE if inverse else CROSSING_AXES)
+    return _regroup(op, CROSSING_AXES)
 
 
 def crossing_row_deviations(s_gates: GateSet, t_gates: GateSet,

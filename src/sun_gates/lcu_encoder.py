@@ -15,8 +15,8 @@ sign conventions change only unobservable phases; the block identity
 (<0| (x) I) W (|0> (x) I) = M / alpha is what this module guarantees.
 
 The circuit is always four gates and one ancilla, independent of N.  It is the
-single definition of W: ``build_w``, ``build_w_from_circuit`` and postselection
-all replay ``export_circuit``'s gates, postselection on |0> (x) |psi> alone.
+single definition of W: ``build_w`` and postselection both replay
+``export_circuit``'s gates, postselection on |0> (x) |psi> alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .amplitude_model import AmplitudeCoefficients
-from .invariant_channels import Channel, ChannelSpec, GateSet
+from .invariant_channels import ChannelSpec, GateSet
 from .sun_algebra import DEFAULT_TOLERANCE
 
 
@@ -107,8 +107,8 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
 
 
 def build_w(plan: BlockEncodingPlan, gates: GateSet) -> np.ndarray:
-    """Assemble the full ancilla-system unitary W of the encoding circuit."""
-    return build_w_from_circuit(export_circuit(plan), gates)
+    """Assemble the full ancilla-system unitary W by replaying the plan's circuit on the identity."""
+    return _run_circuit(export_circuit(plan), gates, np.eye(2 * gates.channel.n ** 2, dtype=complex))
 
 
 def verify_block(w: np.ndarray, m: np.ndarray, alpha: float, tolerance: float) -> BlockEncodingReport:
@@ -169,27 +169,6 @@ def circuit_to_json(desc: CircuitDescription) -> dict[str, Any]:
     }
 
 
-def circuit_from_json(data: dict[str, Any]) -> CircuitDescription:
-    """Parse a circuit dict produced by ``circuit_to_json``."""
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported circuit version {data.get('version')!r}")
-    if data["channel"] not in (Channel.S.value, Channel.T.value):
-        raise ValueError(f"unknown channel tag {data['channel']!r}")
-    gates = [dict(g) for g in data["gates"]]
-    if len(gates) != 4:
-        raise ValueError(f"expected exactly 4 gates, got {len(gates)}")
-    return CircuitDescription(n=int(data["n"]), channel=data["channel"], alpha=float(data["alpha"]), gates=gates)
-
-
-def build_w_from_circuit(desc: CircuitDescription, gates: GateSet) -> np.ndarray:
-    """Replay an exported circuit gate by gate into the full unitary.
-
-    Gates act in list order (first entry applied first), so the result equals
-    ``build_w`` of the originating plan.
-    """
-    return _run_circuit(desc, gates, np.eye(2 * gates.channel.n ** 2, dtype=complex))
-
-
 def _run_circuit(desc: CircuitDescription, gates: GateSet, x: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates in list order to the columns of ``x``.
 
@@ -207,11 +186,7 @@ def _run_circuit(desc: CircuitDescription, gates: GateSet, x: np.ndarray) -> np.
     for gate in desc.gates:
         if gate["name"] == "ry":
             state = np.tensordot(ry(gate["theta"]), state, axes=1)
-        elif gate["name"] in targets:
-            if gate["control_value"] not in (0, 1):
-                raise ValueError(f"control_value must be 0 or 1, got {gate['control_value']!r}")
-            half = int(gate["control_value"])
-            state[half] = np.exp(1j * gate["phase"]) * (targets[gate["name"]] @ state[half])
         else:
-            raise ValueError(f"unknown gate name {gate['name']!r}")
+            half = gate["control_value"]
+            state[half] = np.exp(1j * gate["phase"]) * (targets[gate["name"]] @ state[half])
     return state.reshape(np.shape(x))

@@ -126,6 +126,16 @@ def orthonormality_deviation(gens: GeneratorSet) -> float:
     return float(np.abs(gram - 0.5 * np.eye(d)).max())
 
 
+def _fierz_tensor(gens: GeneratorSet) -> np.ndarray:
+    """sum_a vec(T^a) vec(T^a)^T as G^T G, G the (N^2 - 1) x N^2 generator stack.
+
+    Entry [(i,j),(k,l)] is sum_a (T^a)_ij (T^a)_kl.  Both channels' generator
+    bilinears are index regroupings of this one matrix.
+    """
+    g = gens.generators.reshape(len(gens), gens.n ** 2)
+    return g.T @ g
+
+
 def verify_completeness(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE) -> CompletenessReport:
     """Check the completeness (Fierz) identity of the generator basis.
 
@@ -133,7 +143,7 @@ def verify_completeness(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE
     over all index tuples (i, j, k, l) and reports the max absolute deviation.
     """
     n = gens.n
-    lhs = np.einsum("aij,akl->ijkl", gens.generators, gens.generators)
+    lhs = _fierz_tensor(gens).reshape(n, n, n, n)
     eye = np.eye(n)
     rhs = 0.5 * (
         np.einsum("il,jk->ijkl", eye, eye)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sun_gates.cli import main, parse_complex
+from sun_gates.cli import MAX_DIMENSION, MAX_VERIFY_DIMENSION, build_parser, main, parse_complex
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -363,6 +363,19 @@ def test_dimension_above_limit_is_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert text == ""
     assert "--n" in err and "'33'" in err and "32" in err
+
+
+def test_verify_dimension_above_its_limit_is_usage_error(tmp_path, capsys):
+    # verify alone stops below MAX_DIMENSION; only the parser runs, never an identity suite
+    code, text = run(tmp_path, "verify", "--n", str(MAX_VERIFY_DIMENSION + 1))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert text == "" and captured.out == ""
+    assert "--n" in captured.err and f"'{MAX_VERIFY_DIMENSION + 1}'" in captured.err
+    assert f"at most {MAX_VERIFY_DIMENSION}" in captured.err
+    assert build_parser().parse_args(["verify", "--n", str(MAX_VERIFY_DIMENSION)]).n == MAX_VERIFY_DIMENSION
+    encode = build_parser().parse_args(["encode", "--n", str(MAX_DIMENSION), "--a", "1,0", "--b", "0,0"])
+    assert encode.n == MAX_DIMENSION
 
 
 def count_calls(monkeypatch, *names):

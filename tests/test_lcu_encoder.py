@@ -15,8 +15,6 @@ from sun_gates.invariant_channels import build_gates, build_projectors, s_channe
 from sun_gates.lcu_encoder import (
     apply_with_postselection,
     build_w,
-    build_w_from_circuit,
-    circuit_from_json,
     circuit_to_json,
     export_circuit,
     plan_encoding,
@@ -36,14 +34,17 @@ def channel_setup(n, kind="s"):
     return spec, build_gates(spec)
 
 
-def dense_w(plan, gates):
-    """Reference W assembled from Kronecker products, independent of the circuit replay."""
-    eye = np.eye(plan.channel.n ** 2, dtype=complex)
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    select = (np.kron(p0, np.exp(1j * plan.phi_a) * gates.s_identity)
-              + np.kron(p1, np.exp(1j * plan.phi_b) * gates.z_gate))
-    return np.kron(ry(-2.0 * plan.gamma), eye) @ select @ np.kron(ry(2.0 * plan.gamma), eye)
+def dense_w(gates, theta, phi_a, phi_b, control_a=0, control_b=1):
+    """Reference W assembled from Kronecker products, independent of the circuit replay.
+
+    R_y(-theta) [|a><a| (x) e^{i phi_a} I + |b><b| (x) e^{i phi_b} Z] R_y(theta),
+    where a and b are the control values of the identity and Z gates.
+    """
+    eye = np.eye(gates.channel.n ** 2, dtype=complex)
+    project = lambda value: np.diag([1.0 - value, float(value)]).astype(complex)  # noqa: E731
+    select = (np.kron(project(control_a), np.exp(1j * phi_a) * gates.s_identity)
+              + np.kron(project(control_b), np.exp(1j * phi_b) * gates.z_gate))
+    return np.kron(ry(-theta), eye) @ select @ np.kron(ry(theta), eye)
 
 
 def test_plan_pure_identity():
@@ -151,7 +152,8 @@ def test_replayed_w_matches_dense_formula(n, kind):
     for _ in range(5):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         plan = plan_encoding(AmplitudeCoefficients(spec, a, b))
-        assert np.abs(build_w(plan, gates) - dense_w(plan, gates)).max() <= 1e-12
+        reference = dense_w(gates, 2.0 * plan.gamma, plan.phi_a, plan.phi_b)
+        assert np.abs(build_w(plan, gates) - reference).max() <= 1e-12
 
 
 def test_verify_block_trivial_and_corrupted():
@@ -288,28 +290,14 @@ def test_circuit_json_schema_fields():
 
 
 def test_circuit_round_trip_rebuilds_w():
+    # the emitted JSON alone (thetas, phases, control values) determines W; no plan field is read
     spec, gates = channel_setup(3, "t")
-    coeffs = AmplitudeCoefficients(spec, 0.3 - 0.2j, -0.8 + 0.1j)
-    plan = plan_encoding(coeffs)
-    w = build_w(plan, gates)
+    plan = plan_encoding(AmplitudeCoefficients(spec, 0.3 - 0.2j, -0.8 + 0.1j))
     payload = json.loads(json.dumps(circuit_to_json(export_circuit(plan))))
-    rebuilt = build_w_from_circuit(circuit_from_json(payload), gates)
-    assert np.abs(rebuilt - w).max() <= 1e-12
-
-
-def test_circuit_from_json_validation():
-    spec, gates = channel_setup(2)
-    payload = circuit_to_json(export_circuit(plan_encoding(AmplitudeCoefficients(spec, 1.0, 1.0))))
-    bad_version = dict(payload, version=2)
-    with pytest.raises(ValueError):
-        circuit_from_json(bad_version)
-    bad_gates = dict(payload, gates=payload["gates"][:3])
-    with pytest.raises(ValueError):
-        circuit_from_json(bad_gates)
-    bad_control = dict(payload, gates=[dict(g) for g in payload["gates"]])
-    bad_control["gates"][1]["control_value"] = 2
-    with pytest.raises(ValueError, match="control_value"):
-        build_w_from_circuit(circuit_from_json(bad_control), gates)
+    opening, cz, cs, closing = payload["gates"]
+    assert closing["theta"] == -opening["theta"]
+    rebuilt = dense_w(gates, opening["theta"], cs["phase"], cz["phase"], cs["control_value"], cz["control_value"])
+    assert np.abs(rebuilt - build_w(plan, gates)).max() <= 1e-12
 
 
 def test_build_w_channel_mismatch():
@@ -320,25 +308,41 @@ def test_build_w_channel_mismatch():
         build_w(plan, t_gates)
 
 
-@pytest.mark.parametrize("kind", ["s", "t"])
-def test_block_encoding_demo_script_runs(kind):
+def run_script(name, *args):
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "block_encoding_demo.py"), "--n", "2", "--channel", kind],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
+
+
+@pytest.mark.parametrize("kind", ["s", "t"])
+def test_block_encoding_demo_script_runs(kind):
+    proc = run_script("block_encoding_demo.py", "--n", "2", "--channel", kind)
     assert proc.returncode == 0, proc.stderr
     assert "exported circuit:" in proc.stdout
 
 
+@pytest.mark.parametrize("args", [["--n", "1"], ["--n", "0"], ["--n", "33"], ["--seed", "-1"]], ids="=".join)
+def test_block_encoding_demo_script_rejects_bad_arguments(args):
+    proc = run_script("block_encoding_demo.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {args[0]}" in proc.stderr and repr(args[1]) in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_identity_sweep_script_runs():
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "identity_sweep.py"), "--max-n", "3"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
-    )
+    proc = run_script("identity_sweep.py", "--max-n", "3")
     assert proc.returncode == 0, proc.stderr
     assert f"all checks pass at {DEFAULT_TOLERANCE:.0e}: True" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["--max-n", "1"], ["--max-n", "17"], ["--seed", "-1"],
+                                  ["--tolerance", "nan"], ["--tolerance", "-1"]], ids="=".join)
+def test_identity_sweep_script_rejects_bad_arguments(args):
+    # every bound is checked while parsing, so --max-n 17 runs no identity suite
+    proc = run_script("identity_sweep.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {args[0]}" in proc.stderr and repr(args[1]) in proc.stderr and "Traceback" not in proc.stderr

@@ -3,6 +3,7 @@ import pytest
 
 from sun_gates.sun_algebra import (
     GeneratorSet,
+    _fierz_tensor,
     build_generators,
     hermiticity_deviation,
     orthonormality_deviation,
@@ -72,6 +73,14 @@ def test_completeness_explicit_index_loop(n):
     report = verify_completeness(gens, tolerance=1e-12)
     assert report.passed
     assert abs(report.max_deviation - worst) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_fierz_tensor_matches_einsum(n):
+    # G^T G equals the generator einsum it replaces in the completeness check
+    gens = build_generators(n)
+    lhs = np.einsum("aij,akl->ijkl", gens.generators, gens.generators)
+    assert np.abs(_fierz_tensor(gens).reshape(n, n, n, n) - lhs).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 9))
