@@ -6,9 +6,14 @@ Usage: python scripts/identity_sweep.py [--max-n 8] [--seed 0]
 
 import argparse
 
-from sun_gates.cli import _seed, _tolerance, _verify_dimension, identity_checks
+import numpy as np
+
+from sun_gates.cli import _checked, _seed, _verify_dimension, identity_checks
 from sun_gates.invariant_channels import Channel
 from sun_gates.sun_algebra import DEFAULT_TOLERANCE
+
+# the CLI's _tolerance names SUN_GATES_TOLERANCE, which this script does not read
+_tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0, "tolerance must be finite and positive")
 
 
 def main():

@@ -42,11 +42,9 @@ from .invariant_channels import (
 from .lcu_encoder import (
     BlockEncodingPlan,
     BlockEncodingReport,
-    CircuitDescription,
     PostselectionResult,
     apply_with_postselection,
     build_w,
-    circuit_to_json,
     export_circuit,
     plan_encoding,
     ry,

@@ -14,9 +14,9 @@ R_y convention: R_y(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Other
 sign conventions change only unobservable phases; the block identity
 (<0| (x) I) W (|0> (x) I) = M / alpha is what this module guarantees.
 
-The circuit is always four gates and one ancilla, independent of N.  It is the
-single definition of W: ``build_w`` and postselection both replay
-``export_circuit``'s gates, postselection on |0> (x) |psi> alone.
+The circuit is always four gates and one ancilla, independent of N; it is
+the single definition of W.  Since Z^2 = I, it replays in the Z2 algebra to a
+2x2 pair (A, B) with W = A (x) I + B (x) Z, and only ``build_w`` forms W.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ class BlockEncodingPlan:
 
 @dataclass(frozen=True)
 class BlockEncodingReport:
-    """Deviation of the extracted block from the target amplitude."""
+    """Deviations of the encoding circuit: its block from M / alpha, and W from unitarity."""
 
-    max_deviation: float
+    block_identity_deviation: float
+    w_unitarity_deviation: float
     tolerance: float
     passed: bool
 
@@ -62,21 +63,6 @@ class PostselectionResult:
     state: np.ndarray
     success_probability: float
     annihilated: bool
-
-
-@dataclass(frozen=True)
-class CircuitDescription:
-    """Serializable four-gate description of the encoding circuit.
-
-    ``gates`` lists dicts in application order: ancilla rotation R_y(2 gamma),
-    the Z gate controlled on ancilla value 1, the identity gate controlled on
-    ancilla value 0, and the closing rotation R_y(-2 gamma).
-    """
-
-    n: int
-    channel: str
-    alpha: float
-    gates: list[dict[str, Any]]
 
 
 def ry(theta: float) -> np.ndarray:
@@ -95,11 +81,15 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
     ------
     ValueError
         If both coefficients vanish, which leaves the encoding undefined.
+    OverflowError
+        If alpha exceeds the float range.
     """
     abs_a, abs_b = abs(coeffs.a), abs(coeffs.b)
     alpha = abs_a + abs_b
     if alpha == 0.0:
         raise ValueError("cannot encode the zero amplitude (a = b = 0)")
+    if not np.isfinite(alpha):
+        raise OverflowError("alpha = |a| + |b| overflows")
     gamma = float(np.arccos(min(1.0, np.sqrt(abs_a / alpha))))
     phi_a = float(np.angle(coeffs.a)) if abs_a > 0.0 else 0.0
     phi_b = float(np.angle(coeffs.b)) if abs_b > 0.0 else 0.0
@@ -107,18 +97,30 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
 
 
 def build_w(plan: BlockEncodingPlan, gates: GateSet) -> np.ndarray:
-    """Assemble the full ancilla-system unitary W by replaying the plan's circuit on the identity."""
-    return _run_circuit(export_circuit(plan), gates, np.eye(2 * gates.channel.n ** 2, dtype=complex))
+    """Assemble the dense ancilla-system unitary W = A (x) I + B (x) Z from the replayed circuit."""
+    a, b = _run_circuit(export_circuit(plan), gates.channel)
+    return np.kron(a, gates.s_identity) + np.kron(b, gates.z_gate)
 
 
-def verify_block(w: np.ndarray, m: np.ndarray, alpha: float, tolerance: float) -> BlockEncodingReport:
-    """Compare the top-left block of W against M / alpha."""
-    d = m.shape[0]
-    if w.shape[0] != 2 * d or w.shape[1] != 2 * d:
-        raise ValueError(f"expected W of shape ({2*d}, {2*d}), got {w.shape}")
+def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients, tolerance: float) -> BlockEncodingReport:
+    """Check the plan's circuit against the amplitude a * identity + b * Z on 2x2 arrays alone.
+
+    With W = A (x) I + B (x) Z, the top-left block is A_00 I + B_00 Z, so the
+    block identity deviation is max(|A_00 - a / alpha|, |B_00 - b / alpha|).
+    Z = P+ - P- is a Hermitian involution, so W = W+ (x) P+ + W- (x) P- with
+    W+- = A +- B, and the unitarity deviation is max over +- of |W+-^dagger W+- - I|.
+    """
+    a, b = _run_circuit(export_circuit(plan), coeffs.channel)
     # divide re and im apart: complex division multiplies by 1 / alpha, which overflows for a subnormal alpha
-    deviation = float(np.abs(w[:d, :d] - (m.real / alpha + 1j * (m.imag / alpha))).max())
-    return BlockEncodingReport(max_deviation=deviation, tolerance=tolerance, passed=deviation <= tolerance)
+    block = max(abs(top - complex(c.real / plan.alpha, c.imag / plan.alpha))
+                for top, c in ((a[0, 0], coeffs.a), (b[0, 0], coeffs.b)))
+    unitarity = max(float(np.abs(w.conj().T @ w - np.eye(2)).max()) for w in (a + b, a - b))
+    return BlockEncodingReport(
+        block_identity_deviation=float(block),
+        w_unitarity_deviation=unitarity,
+        tolerance=tolerance,
+        passed=block <= tolerance and unitarity <= tolerance,
+    )
 
 
 def apply_with_postselection(
@@ -126,8 +128,9 @@ def apply_with_postselection(
 ) -> PostselectionResult:
     """Run the encoding circuit on |0> (x) |psi> and postselect ancilla |0>.
 
-    The success probability is || M psi ||^2 / alpha^2 and the surviving state
-    is M psi normalized, realizing the amplitude on the system register.
+    The surviving branch is A_00 psi + B_00 Z psi = M psi / alpha, so the
+    success probability is || M psi ||^2 / alpha^2 and the state is M psi
+    normalized, realizing the amplitude on the system register.
     """
     psi = np.asarray(psi, dtype=complex)
     d = plan.channel.n ** 2
@@ -136,57 +139,54 @@ def apply_with_postselection(
     norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= DEFAULT_TOLERANCE:
         raise ValueError(f"input state must be normalized and finite, got norm {norm}")
-    branch = _run_circuit(export_circuit(plan), gates, np.concatenate([psi, np.zeros_like(psi)]))[:d]
+    a, b = _run_circuit(export_circuit(plan), gates.channel)
+    branch = a[0, 0] * psi + b[0, 0] * (gates.z_gate @ psi)
     probability = float(np.linalg.norm(branch) ** 2)
     annihilated = probability <= 1e-24
     state = np.zeros(d, dtype=complex) if annihilated else branch / np.linalg.norm(branch)
     return PostselectionResult(state=state, success_probability=probability, annihilated=annihilated)
 
 
-def export_circuit(plan: BlockEncodingPlan) -> CircuitDescription:
-    """Emit the four-gate circuit description of the plan."""
-    return CircuitDescription(
-        n=plan.channel.n,
-        channel=plan.channel.kind.value,
-        alpha=plan.alpha,
-        gates=[
+def export_circuit(plan: BlockEncodingPlan) -> dict[str, Any]:
+    """The plan's four-gate circuit as a plain dict, ready for ``json.dump``.
+
+    ``gates`` lists the gates in application order: ancilla rotation
+    R_y(2 gamma), the Z gate controlled on ancilla value 1, the identity gate
+    controlled on ancilla value 0, and the closing rotation R_y(-2 gamma).
+    """
+    return {
+        "version": 1,
+        "n": plan.channel.n,
+        "channel": plan.channel.kind.value,
+        "alpha": plan.alpha,
+        "gates": [
             {"name": "ry", "target": "ancilla", "theta": 2.0 * plan.gamma},
             {"name": "cz_gate", "control_value": 1, "phase": plan.phi_b},
             {"name": "cs_identity", "control_value": 0, "phase": plan.phi_a},
             {"name": "ry", "target": "ancilla", "theta": -2.0 * plan.gamma},
         ],
-    )
-
-
-def circuit_to_json(desc: CircuitDescription) -> dict[str, Any]:
-    """Plain-dict form of the circuit, ready for ``json.dump``."""
-    return {
-        "version": 1,
-        "n": desc.n,
-        "channel": desc.channel,
-        "alpha": desc.alpha,
-        "gates": [dict(g) for g in desc.gates],
     }
 
 
-def _run_circuit(desc: CircuitDescription, gates: GateSet, x: np.ndarray) -> np.ndarray:
-    """Apply the circuit's gates in list order to the columns of ``x``.
+def _run_circuit(circuit: dict[str, Any], channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Replay the circuit's gates in list order; return the 2x2 pair (A, B) with W = A (x) I + B (x) Z.
 
-    ``x`` has 2 N^2 rows and is viewed as (ancilla, system, column).  An ``ry``
-    gate mixes the two ancilla halves; a controlled gate replaces the half
-    selected by ``control_value`` with e^{i phase} * target @ half.
+    A gate (G_A, G_B) acts on (A, B) as (G_A A + G_B B, G_A B + G_B A), since
+    Z^2 = I.  An ``ry`` gate is (R_y(theta), 0); a controlled gate leaves the
+    other ancilla value alone and multiplies its own, |c><c| with
+    c = ``control_value``, by e^{i phase} times its target, I or Z.
     """
-    if desc.channel != gates.channel.kind.value or desc.n != gates.channel.n:
+    if circuit["channel"] != channel.kind.value or circuit["n"] != channel.n:
         raise ValueError(
-            f"circuit is for channel {desc.channel!r} at N={desc.n}, "
-            f"gates are for {gates.channel}"
+            f"circuit is for channel {circuit['channel']!r} at N={circuit['n']}, not for {channel}"
         )
-    targets = {"cz_gate": gates.z_gate, "cs_identity": gates.s_identity}
-    state = np.array(x, dtype=complex).reshape(2, desc.n ** 2, -1)
-    for gate in desc.gates:
+    a, b = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    for gate in circuit["gates"]:
         if gate["name"] == "ry":
-            state = np.tensordot(ry(gate["theta"]), state, axes=1)
+            g_a, g_b = ry(gate["theta"]), np.zeros((2, 2))
         else:
-            half = gate["control_value"]
-            state[half] = np.exp(1j * gate["phase"]) * (targets[gate["name"]] @ state[half])
-    return state.reshape(np.shape(x))
+            chosen = np.diag(np.eye(2)[gate["control_value"]])
+            other, phased = np.eye(2) - chosen, np.exp(1j * gate["phase"]) * chosen
+            g_a, g_b = (other + phased, np.zeros((2, 2))) if gate["name"] == "cs_identity" else (other, phased)
+        a, b = g_a @ a + g_b @ b, g_a @ b + g_b @ a
+    return a, b

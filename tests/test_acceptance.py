@@ -230,16 +230,21 @@ def test_criterion_7_block_encoding():
                 plan = plan_encoding(coeffs)
                 w = build_w(plan, gates)
                 m = amplitude_operator(coeffs, gates)
-                worst_block = max(worst_block, verify_block(w, m, plan.alpha, 1e-12).max_deviation)
-                worst_unitarity = max(worst_unitarity, float(np.abs(w.conj().T @ w - eye).max()))
+                # the dense W and the library's 2x2 report must both hold
+                encoded = verify_block(plan, coeffs, 1e-12)
+                d = n * n
+                worst_block = max(worst_block, float(np.abs(w[:d, :d] - m / plan.alpha).max()),
+                                  encoded.block_identity_deviation)
+                worst_unitarity = max(worst_unitarity, float(np.abs(w.conj().T @ w - eye).max()),
+                                      encoded.w_unitarity_deviation)
                 psi = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
                 psi /= np.linalg.norm(psi)
                 result = apply_with_postselection(plan, gates, psi)
                 oracle = float(np.linalg.norm(m @ psi) ** 2 / plan.alpha ** 2)
                 worst_probability = max(worst_probability, abs(result.success_probability - oracle))
-                desc = export_circuit(plan)
-                structure_ok = structure_ok and len(desc.gates) == 4
-                targets = {g.get("target") for g in desc.gates if "target" in g}
+                circuit_gates = export_circuit(plan)["gates"]
+                structure_ok = structure_ok and len(circuit_gates) == 4
+                targets = {g.get("target") for g in circuit_gates if "target" in g}
                 structure_ok = structure_ok and targets == {"ancilla"}
     report(
         "7 (block encoding, 50 pairs/channel, N=2..6)",

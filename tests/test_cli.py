@@ -92,6 +92,17 @@ def test_verify_swap_is_permutation_at_n2(tmp_path):
     assert swap["max_deviation"] == 0.0
 
 
+def test_verify_swap_action_catches_a_wrong_swap(tmp_path, monkeypatch):
+    # the s-channel gates are built from swap_matrix, so swap_action must not compare against it
+    import sun_gates.invariant_channels as channels
+
+    monkeypatch.setattr(channels, "swap_matrix", lambda n: np.eye(n * n, dtype=complex))
+    code, data = run_json(tmp_path, "verify", "--n", "3", "--channel", "s")
+    assert code == 1
+    swap = next(c for c in data["checks"] if c["name"] == "swap_action")
+    assert not swap["passed"] and swap["max_deviation"] == 1.0
+
+
 def test_encode_identity(tmp_path):
     code, data = run_json(tmp_path, "encode", "--a", "1,0", "--b", "0,0", "--n", "2")
     assert code == 0
@@ -296,6 +307,10 @@ def test_overflow_exits_2(tmp_path, capsys, args):
     assert text == ""
     assert "overflow" in err
     assert "Warning" not in err and "Traceback" not in err
+    # the message names the command and the input it was given
+    assert err.startswith(f"error: {args[0]} ")
+    for given in (arg for arg in args[1:] if arg.startswith(("--a=", "--b=", "{"))):
+        assert given.format(sectors=sectors) in err
 
 
 def _strict_json(text):
@@ -439,3 +454,29 @@ def test_verify_is_deterministic_given_seed(tmp_path):
     code1, data1 = run_json(tmp_path, "verify", "--n", "3", "--seed", "11")
     code2, data2 = run_json(tmp_path, "verify", "--n", "3", "--seed", "11")
     assert (code1, data1) == (code2, data2)
+
+
+def swap_or_parity(psi, n, channel):
+    """Z psi without a matrix: the transpose of psi as N x N in the s channel, 2<s|psi>|s> - psi in the t channel."""
+    if channel == "s":
+        return psi.reshape(n, n).T.ravel()
+    singlet = np.eye(n).ravel() / np.sqrt(n)
+    return 2.0 * np.vdot(singlet, psi) * singlet - psi
+
+
+@pytest.mark.parametrize("channel", ["s", "t"])
+def test_encode_at_dimension_cap(tmp_path, channel):
+    n = MAX_DIMENSION
+    rng = np.random.default_rng(32)
+    psi = rng.normal(size=n * n)
+    psi /= np.linalg.norm(psi)
+    a, b = 0.4 - 0.3j, -0.2 + 0.9j
+    code, text = run(tmp_path, "encode", "--n", str(n), "--channel", channel, "--a=0.4,-0.3", "--b=-0.2,0.9",
+                     "--psi=" + ",".join(repr(float(v)) for v in psi))
+    assert code == 0
+    data = _strict_json(text)
+    assert data["all_passed"]
+    alpha = abs(a) + abs(b)
+    m_psi = a * psi + b * swap_or_parity(psi, n, channel)
+    assert abs(data["postselection_probability"] - np.vdot(m_psi, m_psi).real / alpha ** 2) <= 1e-12
+

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
@@ -15,7 +15,6 @@ from sun_gates.invariant_channels import build_gates, build_projectors, s_channe
 from sun_gates.lcu_encoder import (
     apply_with_postselection,
     build_w,
-    circuit_to_json,
     export_circuit,
     plan_encoding,
     ry,
@@ -140,8 +139,9 @@ def test_block_identity_random_amplitudes(n, kind):
         plan = plan_encoding(coeffs)
         w = build_w(plan, gates)
         m = amplitude_operator(coeffs, gates)
-        report = verify_block(w, m, plan.alpha, tolerance=1e-12)
-        assert report.passed, report.max_deviation
+        assert np.abs(w[:n * n, :n * n] - m / plan.alpha).max() <= 1e-12
+        report = verify_block(plan, coeffs, tolerance=1e-12)
+        assert report.passed, report
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -156,29 +156,65 @@ def test_replayed_w_matches_dense_formula(n, kind):
         assert np.abs(build_w(plan, gates) - reference).max() <= 1e-12
 
 
+def off_angle(plan):
+    """The plan with its mixing angle moved by 0.1: W stays unitary, its block is wrong."""
+    return type(plan)(channel=plan.channel, alpha=plan.alpha, gamma=plan.gamma + 0.1,
+                      phi_a=plan.phi_a, phi_b=plan.phi_b)
+
+
 def test_verify_block_trivial_and_corrupted():
-    spec, gates = channel_setup(2)
-    eye_block = verify_block(np.eye(8, dtype=complex), np.eye(4, dtype=complex), 1.0, 1e-12)
+    spec, _ = channel_setup(2)
+    identity = AmplitudeCoefficients(spec, 1.0, 0.0)
+    eye_block = verify_block(plan_encoding(identity), identity, 1e-12)
     assert eye_block.passed
+    assert eye_block.block_identity_deviation == 0.0 and eye_block.w_unitarity_deviation == 0.0
     coeffs = AmplitudeCoefficients(spec, 0.3 + 0.1j, 0.7)
-    plan = plan_encoding(coeffs)
-    bad_plan = type(plan)(channel=plan.channel, alpha=plan.alpha, gamma=plan.gamma + 0.1,
-                          phi_a=plan.phi_a, phi_b=plan.phi_b)
-    w = build_w(bad_plan, gates)
-    m = amplitude_operator(coeffs, gates)
-    report = verify_block(w, m, plan.alpha, tolerance=1e-12)
+    report = verify_block(off_angle(plan_encoding(coeffs)), coeffs, tolerance=1e-12)
     assert not report.passed
-    assert report.max_deviation > 1e-3
+    assert report.block_identity_deviation > 1e-3
+    assert report.w_unitarity_deviation <= 1e-12
+
+
+def test_verify_block_channel_mismatch():
+    spec, _ = channel_setup(2)
+    plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0))
+    with pytest.raises(ValueError):
+        verify_block(plan, AmplitudeCoefficients(t_channel(2), 1.0, 0.0), 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ab=nonzero_pairs, n=st.integers(2, 4), kind=st.sampled_from(["s", "t"]))
+def test_z2_replay_matches_dense_w(ab, n, kind):
+    # the 2x2 replay against the Kronecker-product W: same matrix, same verdicts on the good and the off-angle plan
+    spec, gates = channel_setup(n, kind)
+    coeffs = AmplitudeCoefficients(spec, *ab)
+    plan = plan_encoding(coeffs)
+    assert np.abs(build_w(plan, gates) - dense_w(gates, 2.0 * plan.gamma, plan.phi_a, plan.phi_b)).max() <= 1e-12
+    m = amplitude_operator(coeffs, gates)
+    d, eye = n * n, np.eye(2 * n * n)
+    candidates = [(plan, True)]
+    # at 2 gamma + 0.1 = pi the shifted angle has the same cos^2 and sin^2, so the block does not move
+    if abs(2.0 * plan.gamma + 0.1 - np.pi) > 1e-6:
+        candidates.append((off_angle(plan), False))
+    for candidate, good in candidates:
+        w = dense_w(gates, 2.0 * candidate.gamma, candidate.phi_a, candidate.phi_b)
+        dense_block = np.abs(w[:d, :d] - m / plan.alpha).max() <= 1e-12
+        dense_unitary = np.abs(w.conj().T @ w - eye).max() <= 1e-12
+        report = verify_block(candidate, coeffs, 1e-12)
+        assert (report.block_identity_deviation <= 1e-12) == dense_block == good
+        assert (report.w_unitarity_deviation <= 1e-12) == dense_unitary
+        assert report.w_unitarity_deviation <= 1e-12
+        assert report.passed == good
 
 
 def test_verify_block_at_subnormal_alpha():
     # complex division by alpha = 1e-323 multiplies by 1 / alpha, which overflows
-    spec, gates = channel_setup(2)
+    spec, _ = channel_setup(2)
     coeffs = AmplitudeCoefficients(spec, 5e-324, 5e-324j)
     plan = plan_encoding(coeffs)
     assert plan.alpha == 1e-323
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        report = verify_block(build_w(plan, gates), amplitude_operator(coeffs, gates), plan.alpha, 1e-12)
+        report = verify_block(plan, coeffs, 1e-12)
     assert report.passed
 
 
@@ -262,23 +298,23 @@ def test_postselection_rejects_non_finite_state(bad):
 
 def test_exported_circuit_structure():
     spec, _ = channel_setup(2)
-    desc = export_circuit(plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0)))
-    assert [g["name"] for g in desc.gates] == ["ry", "cz_gate", "cs_identity", "ry"]
-    assert desc.gates[0]["theta"] == 0.0 and desc.gates[3]["theta"] == 0.0
-    assert desc.gates[1]["control_value"] == 1
-    assert desc.gates[2]["control_value"] == 0
-    assert desc.gates[2]["phase"] == 0.0
+    gates = export_circuit(plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0)))["gates"]
+    assert [g["name"] for g in gates] == ["ry", "cz_gate", "cs_identity", "ry"]
+    assert gates[0]["theta"] == 0.0 and gates[3]["theta"] == 0.0
+    assert gates[1]["control_value"] == 1
+    assert gates[2]["control_value"] == 0
+    assert gates[2]["phase"] == 0.0
 
 
 def test_exported_equal_weights_rotation_angle():
     spec, _ = channel_setup(2)
-    desc = export_circuit(plan_encoding(AmplitudeCoefficients(spec, 0.5, 0.5)))
-    assert abs(desc.gates[0]["theta"] - np.pi / 2) <= 1e-15
+    gates = export_circuit(plan_encoding(AmplitudeCoefficients(spec, 0.5, 0.5)))["gates"]
+    assert abs(gates[0]["theta"] - np.pi / 2) <= 1e-15
 
 
 def test_circuit_json_schema_fields():
     spec, _ = channel_setup(3, "t")
-    payload = circuit_to_json(export_circuit(plan_encoding(AmplitudeCoefficients(spec, 0.2j, 0.4))))
+    payload = export_circuit(plan_encoding(AmplitudeCoefficients(spec, 0.2j, 0.4)))
     assert list(payload.keys()) == ["version", "n", "channel", "alpha", "gates"]
     assert payload["version"] == 1
     assert payload["n"] == 3
@@ -293,7 +329,7 @@ def test_circuit_round_trip_rebuilds_w():
     # the emitted JSON alone (thetas, phases, control values) determines W; no plan field is read
     spec, gates = channel_setup(3, "t")
     plan = plan_encoding(AmplitudeCoefficients(spec, 0.3 - 0.2j, -0.8 + 0.1j))
-    payload = json.loads(json.dumps(circuit_to_json(export_circuit(plan))))
+    payload = json.loads(json.dumps(export_circuit(plan)))
     opening, cz, cs, closing = payload["gates"]
     assert closing["theta"] == -opening["theta"]
     rebuilt = dense_w(gates, opening["theta"], cs["phase"], cz["phase"], cs["control_value"], cz["control_value"])
@@ -346,3 +382,5 @@ def test_identity_sweep_script_rejects_bad_arguments(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"argument {args[0]}" in proc.stderr and repr(args[1]) in proc.stderr and "Traceback" not in proc.stderr
+    # the script reads no environment variable, so its message names none
+    assert "SUN_GATES_TOLERANCE" not in proc.stderr
