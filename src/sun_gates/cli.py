@@ -35,6 +35,7 @@ from .invariant_channels import (
     Channel,
     ChannelSpec,
     build_gates,
+    build_projectors,
     crossing_map,
     crossing_row_deviations,
     generator_form_projectors,
@@ -152,13 +153,16 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
         tag = kind.value
         gates = s_gates if kind is Channel.S else t_gates
         z = gates.z_gate
-        # the gates are P+ + P- and P+ - P-, so half their sum and difference are the projectors
-        p_plus, p_minus = (gates.s_identity + z) / 2.0, (gates.s_identity - z) / 2.0
-        g_plus, g_minus = generator_form_projectors(gates.channel, gens)
         if kind is Channel.S:
+            # the s-channel Z is P+ - P-, so (I + Z)/2 and (I - Z)/2 are its projectors
+            p_plus, p_minus = (eye + z) / 2.0, (eye - z) / 2.0
             trace_plus, trace_minus = n * (n + 1) / 2.0, n * (n - 1) / 2.0
         else:
+            # the delta-index projectors, built apart from the closed-form Z
+            projs = build_projectors(gates.channel)
+            p_plus, p_minus = projs.p_plus, projs.p_minus
             trace_plus, trace_minus = 1.0, float(d - 1)
+        g_plus, g_minus = generator_form_projectors(gates.channel, gens)
         results += [
             check(f"projector_idempotence[{tag}]",
                   max(_max_abs(p_plus @ p_plus - p_plus), _max_abs(p_minus @ p_minus - p_minus))),
@@ -169,7 +173,7 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
             check(f"projector_generator_form[{tag}]",
                   max(_max_abs(p_plus - g_plus), _max_abs(p_minus - g_minus))),
             check(f"gate_unitarity[{tag}]", _max_abs(z.conj().T @ z - eye)),
-            check(f"gate_involution[{tag}]", _max_abs(z @ z - gates.s_identity)),
+            check(f"gate_involution[{tag}]", _max_abs(z @ z - eye)),
             check(f"gate_hermiticity[{tag}]", _max_abs(z - z.conj().T)),
         ]
         if kind is Channel.S:
@@ -206,15 +210,16 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` as is to the file ``output``, else to stdout: both get the same characters."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, allow_nan=False), output)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", output)
 
 
 def cmd_generators(args: argparse.Namespace) -> int:
@@ -336,7 +341,7 @@ def cmd_disk(args: argparse.Namespace) -> int:
             repr(r.b.real), repr(r.b.imag),
             repr(r.norm_sq),
         ])
-    _emit(buffer.getvalue().rstrip("\n"), args.output)
+    _emit(buffer.getvalue(), args.output)
     return EXIT_OK
 
 
@@ -378,6 +383,9 @@ def read_sectors(path: str) -> list[PartialWaveSector]:
 
 def cmd_partial_wave(args: argparse.Namespace) -> int:
     sectors = read_sectors(args.sectors_file)
+    if not sectors:
+        # an empty table would pass every bound vacuously
+        raise ValueError(f"{args.sectors_file}: no sector rows below the header")
     reports = [(s, check_partial_wave(s, args.tolerance)) for s in sectors]
     all_satisfied = all(r.bound_satisfied for _, r in reports)
     payload = {

@@ -12,6 +12,12 @@ H_N (x) H_N:
   complement, traces 1 and N^2 - 1.  The difference P_plus - P_minus is the
   charge-parity gate, +1 on the singlet and -1 on the adjoint states.
 
+Each channel's gates are {identity, Z}, and ``build_gates`` builds Z alone.
+The t-channel Z comes from its closed form, not from ``build_projectors``, so
+the CLI ``verify`` suite checks the t-channel projectors and Z as two
+independent constructions.  The s-channel Z is still the difference of its
+projectors, which is the swap itself.
+
 Because the second factor of the t-channel carries the conjugate
 representation, its generator bilinear enters the computational basis with a
 transposed second factor: the singlet/adjoint projectors are affine in
@@ -91,20 +97,24 @@ class ProjectorSet:
 
 @dataclass(frozen=True, eq=False)
 class GateSet:
-    """The invariant gate pair {identity, Z} of a channel.
+    """The invariant gate pair {identity, Z} of a channel, stored as Z alone.
 
     ``z_gate`` is the swap gate in the s-channel and the charge-parity gate in
     the t-channel; in both cases it is Hermitian, unitary, and squares to the
-    identity, so {s_identity, z_gate} closes into a two-element group.
+    identity, so {s_identity, z_gate} closes into a two-element group.  The
+    identity carries no channel data, so ``s_identity`` is built on request.
     """
 
     channel: ChannelSpec
-    s_identity: np.ndarray
     z_gate: np.ndarray
 
     def __post_init__(self):
-        self.s_identity.setflags(write=False)
         self.z_gate.setflags(write=False)
+
+    @property
+    def s_identity(self) -> np.ndarray:
+        """The N^2 x N^2 identity gate, a fresh array on every access."""
+        return np.eye(self.channel.n ** 2, dtype=complex)
 
 
 def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -176,13 +186,23 @@ def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:
 
 
 def build_gates(channel: ChannelSpec) -> GateSet:
-    """Build the invariant gate pair as sum and difference of the projectors."""
-    projs = build_projectors(channel)
-    return GateSet(
-        channel=channel,
-        s_identity=projs.p_plus + projs.p_minus,
-        z_gate=projs.p_plus - projs.p_minus,
-    )
+    """Build the channel's Z gate; the identity is implicit (``GateSet.s_identity``).
+
+    t-channel: Z = P_plus - P_minus = (2/N) |vec I><vec I| - I, the
+    charge-parity gate, from its closed form: one N^2 x N^2 array, its
+    diagonal shifted in place, with no projector in between.
+    s-channel: Z = P_plus - P_minus of ``build_projectors``, the swap
+    |ij> -> |ji>.
+    """
+    n = channel.n
+    if channel.kind is Channel.S:
+        projs = build_projectors(channel)
+        z = projs.p_plus - projs.p_minus
+    else:
+        vec_eye = np.eye(n, dtype=complex).reshape(n * n)
+        z = np.multiply.outer(vec_eye, (2.0 / n) * vec_eye)
+        z.flat[::n * n + 1] -= 1.0
+    return GateSet(channel=channel, z_gate=z)
 
 
 def singlet_state(n: int) -> np.ndarray:

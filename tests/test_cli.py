@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -198,6 +199,17 @@ def test_disk_json_format(tmp_path):
     assert data["rows"][0]["a"] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("args", [["disk"], ["disk", "--format", "json"], ["verify", "--n", "2"]],
+                         ids=["disk-csv", "disk-json", "verify"])
+def test_output_file_gets_the_stdout_bytes(tmp_path, capsysbinary, args):
+    assert main(args) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "out"
+    assert main([*args, "--output", str(out)]) == 0
+    assert out.read_bytes() == stdout
+    assert stdout.endswith(b"\n") and capsysbinary.readouterr().out == b""
+
+
 def test_partial_wave_saturation(tmp_path):
     sectors = tmp_path / "sectors.csv"
     sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0,1\n")
@@ -216,12 +228,14 @@ def test_partial_wave_violation_exits_nonzero(tmp_path):
     assert not data["all_bounds_satisfied"]
 
 
-def test_partial_wave_empty_file(tmp_path):
+def test_partial_wave_empty_file(tmp_path, capsys):
+    # a table with no sector rows would satisfy every bound vacuously, so it is an input error
     sectors = tmp_path / "sectors.csv"
-    sectors.write_text("")
-    code, data = run_json(tmp_path, "partial-wave", str(sectors))
-    assert code == 0
-    assert data["sectors"] == []
+    for text in ["", "j,re_a,im_a,re_b,im_b,kappa\n", "j,re_a,im_a,re_b,im_b,kappa\n\n"]:
+        sectors.write_text(text)
+        code, out = run(tmp_path, "partial-wave", str(sectors))
+        assert (code, out) == (2, "")
+        assert str(sectors) in capsys.readouterr().err
 
 
 def test_partial_wave_parse_error_reports_line(tmp_path, capsys):
@@ -480,3 +494,18 @@ def test_encode_at_dimension_cap(tmp_path, channel):
     m_psi = a * psi + b * swap_or_parity(psi, n, channel)
     assert abs(data["postselection_probability"] - np.vdot(m_psi, m_psi).real / alpha ** 2) <= 1e-12
 
+
+def test_encode_holds_at_most_three_dense_arrays(tmp_path):
+    # the t-channel Z is built from its closed form: no projector pair and no stored identity next to it
+    n = 16
+    psi = np.full(n * n, 1.0 / n)
+    dense_bytes = (n * n) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, "encode", "--n", str(n), "--channel", "t", "--a=0.4,-0.3", "--b=-0.2,0.9",
+                      "--psi=" + ",".join(repr(float(v)) for v in psi))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * dense_bytes, peak / dense_bytes

@@ -293,6 +293,10 @@ def test_constructions_match_index_loops(n):
 
     s_gates, t_gates = build_gates(s_channel(n)), build_gates(t_channel(n))
     eye = np.eye(d, dtype=complex)
+    # Z is the projector difference; the closed-form t-channel diagonal may round in another order
+    assert np.array_equal(s_gates.z_gate, s_plus - s_minus)
+    assert np.abs(t_gates.z_gate - (t_plus - t_minus)).max() <= 1e-15
+    assert np.array_equal(s_gates.s_identity, eye) and np.array_equal(t_gates.s_identity, eye)
     inline = (np.abs(crossing_map(s_gates.s_identity) - (n / 2.0) * (eye + t_gates.z_gate)).max(),
               np.abs(crossing_map(s_gates.z_gate) - eye).max())
     assert np.array_equal(crossing_row_deviations(s_gates, t_gates), inline)
