@@ -59,8 +59,10 @@ from .sun_algebra import (
 
 ENV_TOLERANCE = "SUN_GATES_TOLERANCE"
 
-#: Largest accepted --n: every command holds dense N^2 x N^2 (and N^4-entry) arrays.
+#: Largest accepted --n for generators, verify and cross, which hold dense N^2 x N^2 (and N^4-entry) arrays.
 MAX_DIMENSION = 32
+#: Largest --n for encode: it applies Z to --psi in O(N^2) and holds no N^2 x N^2 array.
+MAX_ENCODE_DIMENSION = 64
 #: Largest --n for verify: its decompose/reconstruct round trip is an O(N^8) einsum, ~50 s at N = 16.
 MAX_VERIFY_DIMENSION = 16
 
@@ -104,8 +106,12 @@ def _checked(convert, accept, requirement: str):
     return parse
 
 
-_dimension = _checked(int, lambda n: 2 <= n <= MAX_DIMENSION,
-                      f"qudit dimension must be an integer of at least 2 and at most {MAX_DIMENSION}")
+def _dimension_up_to(limit: int):
+    return _checked(int, lambda n: 2 <= n <= limit,
+                    f"qudit dimension must be an integer of at least 2 and at most {limit}")
+
+
+_dimension, _encode_dimension = _dimension_up_to(MAX_DIMENSION), _dimension_up_to(MAX_ENCODE_DIMENSION)
 # _dimension's own message wins above MAX_DIMENSION, so each limit is named where it applies
 _verify_dimension = _checked(_dimension, lambda n: n <= MAX_VERIFY_DIMENSION,
                              f"verify takes a qudit dimension of at most {MAX_VERIFY_DIMENSION}")
@@ -153,14 +159,12 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
         tag = kind.value
         gates = s_gates if kind is Channel.S else t_gates
         z = gates.z_gate
+        # the delta-index projectors, built apart from the closed-form Z
+        projs = build_projectors(gates.channel)
+        p_plus, p_minus = projs.p_plus, projs.p_minus
         if kind is Channel.S:
-            # the s-channel Z is P+ - P-, so (I + Z)/2 and (I - Z)/2 are its projectors
-            p_plus, p_minus = (eye + z) / 2.0, (eye - z) / 2.0
             trace_plus, trace_minus = n * (n + 1) / 2.0, n * (n - 1) / 2.0
         else:
-            # the delta-index projectors, built apart from the closed-form Z
-            projs = build_projectors(gates.channel)
-            p_plus, p_minus = projs.p_plus, projs.p_minus
             trace_plus, trace_minus = 1.0, float(d - 1)
         g_plus, g_minus = generator_form_projectors(gates.channel, gens)
         results += [
@@ -418,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n": dict(type=_dimension, default=3, help=f"qudit dimension N, 2 to {MAX_DIMENSION} (default 3)"),
         "verify --n": dict(type=_verify_dimension, default=3,
                            help=f"qudit dimension N, 2 to {MAX_VERIFY_DIMENSION} (default 3)"),
+        "encode --n": dict(type=_encode_dimension, default=3,
+                           help=f"qudit dimension N, 2 to {MAX_ENCODE_DIMENSION} (default 3)"),
         "--channel": dict(choices=["s", "t"], default=None,
                           help="scattering channel (default s; verify runs both when omitted)"),
         # a string default goes through _tolerance; argparse converts it only when the flag is absent

@@ -12,11 +12,13 @@ H_N (x) H_N:
   complement, traces 1 and N^2 - 1.  The difference P_plus - P_minus is the
   charge-parity gate, +1 on the singlet and -1 on the adjoint states.
 
-Each channel's gates are {identity, Z}, and ``build_gates`` builds Z alone.
-The t-channel Z comes from its closed form, not from ``build_projectors``, so
-the CLI ``verify`` suite checks the t-channel projectors and Z as two
-independent constructions.  The s-channel Z is still the difference of its
-projectors, which is the swap itself.
+Each channel's gates are {identity, Z}, and ``GateSet`` holds neither as an
+array until one is read.  ``GateSet.apply_z`` applies Z to a state in O(N^2):
+a transpose of its N x N reshape in the s-channel, the singlet reflection
+2<s|psi>|s> - psi in the t-channel.  The dense ``GateSet.z_gate`` comes from
+the closed forms, ``swap_matrix`` and (2/N)|vec I><vec I| - I, never from
+``build_projectors``, so the CLI ``verify`` suite checks each channel's
+projectors and Z as two independent constructions.
 
 Because the second factor of the t-channel carries the conjugate
 representation, its generator bilinear enters the computational basis with a
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from math import isqrt
 
@@ -97,24 +100,56 @@ class ProjectorSet:
 
 @dataclass(frozen=True, eq=False)
 class GateSet:
-    """The invariant gate pair {identity, Z} of a channel, stored as Z alone.
+    """The invariant gate pair {identity, Z} of a channel, stored as the channel alone.
 
-    ``z_gate`` is the swap gate in the s-channel and the charge-parity gate in
-    the t-channel; in both cases it is Hermitian, unitary, and squares to the
-    identity, so {s_identity, z_gate} closes into a two-element group.  The
-    identity carries no channel data, so ``s_identity`` is built on request.
+    Z is the swap gate in the s-channel and the charge-parity gate in the
+    t-channel; in both cases it is Hermitian, unitary, and squares to the
+    identity, so {s_identity, z_gate} closes into a two-element group.
+    ``apply_z`` acts with Z on one state without a matrix; ``z_gate`` builds
+    the dense N^2 x N^2 Z on its first read and keeps it, read-only.
     """
 
     channel: ChannelSpec
-    z_gate: np.ndarray
 
-    def __post_init__(self):
-        self.z_gate.setflags(write=False)
+    @cached_property
+    def z_gate(self) -> np.ndarray:
+        """Dense Z: ``swap_matrix(n)``, or (2/N)|vec I><vec I| with its diagonal shifted by -1 in place."""
+        n = self.channel.n
+        if self.channel.kind is Channel.S:
+            z = swap_matrix(n)
+        else:
+            vec_eye = np.eye(n, dtype=complex).reshape(n * n)
+            z = np.multiply.outer(vec_eye, (2.0 / n) * vec_eye)
+            z.flat[::n * n + 1] -= 1.0
+        z.setflags(write=False)
+        return z
 
     @property
     def s_identity(self) -> np.ndarray:
         """The N^2 x N^2 identity gate, a fresh array on every access."""
         return np.eye(self.channel.n ** 2, dtype=complex)
+
+    def apply_z(self, psi: np.ndarray) -> np.ndarray:
+        """Z psi as a new vector in O(N^2), equal to ``z_gate @ psi`` without forming ``z_gate``.
+
+        s-channel: psi[(i,j)] -> psi[(j,i)], the transpose of psi's N x N
+        reshape.  t-channel: 2<s|psi>|s> - psi, i.e. -psi with
+        (2/N) sum_i psi[i(N+1)] added at the N indices i(N+1) of |vec I>.
+
+        Raises
+        ------
+        ValueError
+            If ``psi`` is not of shape (N^2,).
+        """
+        n = self.channel.n
+        psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (n * n,):
+            raise ValueError(f"expected a state vector of shape ({n * n},), got shape {psi.shape}")
+        if self.channel.kind is Channel.S:
+            return psi.reshape(n, n).T.ravel()
+        out = -psi
+        out[::n + 1] += (2.0 / n) * psi[::n + 1].sum()
+        return out
 
 
 def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -186,23 +221,8 @@ def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:
 
 
 def build_gates(channel: ChannelSpec) -> GateSet:
-    """Build the channel's Z gate; the identity is implicit (``GateSet.s_identity``).
-
-    t-channel: Z = P_plus - P_minus = (2/N) |vec I><vec I| - I, the
-    charge-parity gate, from its closed form: one N^2 x N^2 array, its
-    diagonal shifted in place, with no projector in between.
-    s-channel: Z = P_plus - P_minus of ``build_projectors``, the swap
-    |ij> -> |ji>.
-    """
-    n = channel.n
-    if channel.kind is Channel.S:
-        projs = build_projectors(channel)
-        z = projs.p_plus - projs.p_minus
-    else:
-        vec_eye = np.eye(n, dtype=complex).reshape(n * n)
-        z = np.multiply.outer(vec_eye, (2.0 / n) * vec_eye)
-        z.flat[::n * n + 1] -= 1.0
-    return GateSet(channel=channel, z_gate=z)
+    """The channel's gate pair; allocates no array (``GateSet.apply_z``, ``GateSet.z_gate``)."""
+    return GateSet(channel=channel)
 
 
 def singlet_state(n: int) -> np.ndarray:

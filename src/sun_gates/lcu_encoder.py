@@ -17,6 +17,8 @@ sign conventions change only unobservable phases; the block identity
 The circuit is always four gates and one ancilla, independent of N; it is
 the single definition of W.  Since Z^2 = I, it replays in the Z2 algebra to a
 2x2 pair (A, B) with W = A (x) I + B (x) Z, and only ``build_w`` forms W.
+Postselection needs Z only as an action on the system register,
+``GateSet.apply_z``, so it holds no N^2 x N^2 array.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def apply_with_postselection(
     if not abs(norm - 1.0) <= DEFAULT_TOLERANCE:
         raise ValueError(f"input state must be normalized and finite, got norm {norm}")
     a, b = _run_circuit(export_circuit(plan), gates.channel)
-    branch = a[0, 0] * psi + b[0, 0] * (gates.z_gate @ psi)
+    branch = a[0, 0] * psi + b[0, 0] * gates.apply_z(psi)
     probability = float(np.linalg.norm(branch) ** 2)
     annihilated = probability <= 1e-24
     state = np.zeros(d, dtype=complex) if annihilated else branch / np.linalg.norm(branch)

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sun_gates.cli import MAX_DIMENSION, MAX_VERIFY_DIMENSION, build_parser, main, parse_complex
+from sun_gates.cli import (
+    MAX_DIMENSION,
+    MAX_ENCODE_DIMENSION,
+    MAX_VERIFY_DIMENSION,
+    build_parser,
+    main,
+    parse_complex,
+)
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -386,12 +393,14 @@ def test_disk_resolution_above_limit_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["generators", "verify", "encode", "cross"])
 def test_dimension_above_limit_is_usage_error(tmp_path, capsys, command):
     # never test a dimension that would allocate: the limit is checked while parsing
+    # (verify's lower cap has its own test below; above MAX_DIMENSION the shared message wins)
+    limit = MAX_ENCODE_DIMENSION if command == "encode" else MAX_DIMENSION
     coefficients = ["--a", "1,0", "--b", "0,0"] if command in ("encode", "cross") else []
-    code, text = run(tmp_path, command, "--n", "33", *coefficients)
+    code, text = run(tmp_path, command, "--n", str(limit + 1), *coefficients)
     err = capsys.readouterr().err
     assert code == 2
     assert text == ""
-    assert "--n" in err and "'33'" in err and "32" in err
+    assert "--n" in err and f"'{limit + 1}'" in err and f"at most {limit}" in err
 
 
 def test_verify_dimension_above_its_limit_is_usage_error(tmp_path, capsys):
@@ -480,7 +489,7 @@ def swap_or_parity(psi, n, channel):
 
 @pytest.mark.parametrize("channel", ["s", "t"])
 def test_encode_at_dimension_cap(tmp_path, channel):
-    n = MAX_DIMENSION
+    n = MAX_ENCODE_DIMENSION
     rng = np.random.default_rng(32)
     psi = rng.normal(size=n * n)
     psi /= np.linalg.norm(psi)
@@ -509,3 +518,21 @@ def test_encode_holds_at_most_three_dense_arrays(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 3 * dense_bytes, peak / dense_bytes
+
+
+@pytest.mark.parametrize("channel", ["s", "t"])
+def test_encode_at_its_cap_allocates_no_dense_array(tmp_path, channel):
+    # Z acts on psi in O(N^2): the whole run stays below 1% of one N^2 x N^2 complex array
+    n = MAX_ENCODE_DIMENSION
+    psi = np.full(n * n, 1.0 / n)
+    dense_bytes = (n * n) ** 2 * np.dtype(complex).itemsize
+    argv = ["encode", "--n", str(n), "--channel", channel, "--a=0.4,-0.3", "--b=-0.2,0.9",
+            "--psi=" + ",".join(repr(float(v)) for v in psi)]
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < dense_bytes / 100, peak / dense_bytes

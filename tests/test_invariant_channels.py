@@ -1,7 +1,10 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sun_gates.invariant_channels import (
     CROSSING_AXES,
@@ -294,6 +297,7 @@ def test_constructions_match_index_loops(n):
     s_gates, t_gates = build_gates(s_channel(n)), build_gates(t_channel(n))
     eye = np.eye(d, dtype=complex)
     # Z is the projector difference; the closed-form t-channel diagonal may round in another order
+    assert not s_gates.z_gate.flags.writeable and not t_gates.z_gate.flags.writeable
     assert np.array_equal(s_gates.z_gate, s_plus - s_minus)
     assert np.abs(t_gates.z_gate - (t_plus - t_minus)).max() <= 1e-15
     assert np.array_equal(s_gates.s_identity, eye) and np.array_equal(t_gates.s_identity, eye)
@@ -301,6 +305,46 @@ def test_constructions_match_index_loops(n):
               np.abs(crossing_map(s_gates.z_gate) - eye).max())
     assert np.array_equal(crossing_row_deviations(s_gates, t_gates), inline)
 
+
+complex_entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), kind=st.sampled_from([Channel.S, Channel.T]))
+def test_apply_z_matches_dense_z(data, n, kind):
+    # the O(N^2) action is pinned to the dense oracle: Z psi and the involution Z Z psi = psi
+    gates = build_gates(ChannelSpec(kind, n))
+    psi = np.array(data.draw(st.lists(complex_entries, min_size=n * n, max_size=n * n)), dtype=complex)
+    z_psi = gates.apply_z(psi)
+    assert np.abs(z_psi - gates.z_gate @ psi).max() <= 1e-12
+    assert np.abs(gates.apply_z(z_psi) - psi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [Channel.S, Channel.T])
+@pytest.mark.parametrize("shape", [(8,), (10,), (3, 3), ()])
+def test_apply_z_rejects_wrong_shape(kind, shape):
+    # the t-channel strided index would otherwise accept any length
+    with pytest.raises(ValueError, match="shape"):
+        build_gates(ChannelSpec(kind, 3)).apply_z(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("kind", [Channel.S, Channel.T])
+def test_build_gates_allocates_no_dense_array_until_z_gate_is_read(kind):
+    n = 32
+    dense_bytes = (n * n) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        gates = build_gates(ChannelSpec(kind, n))
+        gates.apply_z(np.ones(n * n, dtype=complex))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        z = gates.z_gate
+        _, dense_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 100, peak / dense_bytes
+    # read once, built once
+    assert dense_peak >= dense_bytes and gates.z_gate is z
 
 
 def test_generator_form_projectors_dimension_mismatch():
