@@ -14,15 +14,16 @@ import json
 import numpy as np
 
 from sun_gates.amplitude_model import AmplitudeCoefficients
-from sun_gates.cli import _dimension, _seed
+from sun_gates.cli import DIMENSION_LIMITS, _dimension_up_to, _seed
 from sun_gates.invariant_channels import Channel, ChannelSpec, build_gates
 from sun_gates.lcu_encoder import apply_with_postselection, export_circuit, plan_encoding, verify_block
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    # the CLI's converters, so a bad value exits 2 with the CLI's message
-    parser.add_argument("--n", type=_dimension, default=3)
+    # the CLI's converters, so a bad value exits 2 with the CLI's message; cross's limit,
+    # since the direct check below reads the dense N^2 x N^2 Z
+    parser.add_argument("--n", type=_dimension_up_to(DIMENSION_LIMITS["cross"]), default=3)
     parser.add_argument("--channel", choices=["s", "t"], default="t")
     parser.add_argument("--seed", type=_seed, default=1)
     args = parser.parse_args()

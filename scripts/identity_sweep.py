@@ -8,7 +8,7 @@ import argparse
 
 import numpy as np
 
-from sun_gates.cli import _checked, _seed, _verify_dimension, identity_checks
+from sun_gates.cli import DIMENSION_LIMITS, _checked, _dimension_up_to, _seed, identity_checks
 from sun_gates.invariant_channels import Channel
 from sun_gates.sun_algebra import DEFAULT_TOLERANCE
 
@@ -19,7 +19,7 @@ _tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0, "tolerance must
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     # the CLI's converters: --max-n has verify's bounds, since each N runs verify's identity suite
-    parser.add_argument("--max-n", type=_verify_dimension, default=8)
+    parser.add_argument("--max-n", type=_dimension_up_to(DIMENSION_LIMITS["verify"]), default=8)
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     args = parser.parse_args()

@@ -25,7 +25,6 @@ from .invariant_channels import (
     ChannelSpec,
     GateSet,
     ProjectorSet,
-    adjoint_states,
     build_gates,
     build_projectors,
     charge_parity_bilinear,

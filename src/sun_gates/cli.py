@@ -1,7 +1,8 @@
 """Command-line front-end: construction, verification, encoding, crossing, disk data.
 
 Each subcommand takes only the flags it reads (``sun-gates COMMAND -h`` lists
-them); any other flag is a usage error.  Exit status: 0 when all checks pass,
+them, with each command's ``--n`` limit); any other flag is a usage error.
+``--output`` gets the bytes stdout would.  Exit status: 0 when all checks pass,
 1 on verification failure, 2 on usage or input errors, floating-point overflow
 included (its message names the command and the input it was given).  Complex
 arguments use the shell-safe ``re,im`` syntax; a negative leading value needs
@@ -65,6 +66,9 @@ MAX_DIMENSION = 32
 MAX_ENCODE_DIMENSION = 64
 #: Largest --n for verify: its decompose/reconstruct round trip is an O(N^8) einsum, ~50 s at N = 16.
 MAX_VERIFY_DIMENSION = 16
+#: Each command that takes --n, with its largest N; the parser and both scripts build --n from this entry.
+DIMENSION_LIMITS = {"generators": MAX_DIMENSION, "verify": MAX_VERIFY_DIMENSION,
+                    "encode": MAX_ENCODE_DIMENSION, "cross": MAX_DIMENSION}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -111,10 +115,6 @@ def _dimension_up_to(limit: int):
                     f"qudit dimension must be an integer of at least 2 and at most {limit}")
 
 
-_dimension, _encode_dimension = _dimension_up_to(MAX_DIMENSION), _dimension_up_to(MAX_ENCODE_DIMENSION)
-# _dimension's own message wins above MAX_DIMENSION, so each limit is named where it applies
-_verify_dimension = _checked(_dimension, lambda n: n <= MAX_VERIFY_DIMENSION,
-                             f"verify takes a qudit dimension of at most {MAX_VERIFY_DIMENSION}")
 _tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0,
                       f"tolerance (--tolerance, else {ENV_TOLERANCE}) must be finite and positive")
 _seed = _checked(int, lambda s: s >= 0, "seed must be an integer of at least 0")
@@ -213,20 +213,12 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
     return results
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write ``text`` as is to the file ``output``, else to stdout: both get the same characters."""
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(payload: dict) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of printing a non-JSON token."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", output)
-
-
-def cmd_generators(args: argparse.Namespace) -> int:
+def cmd_generators(args: argparse.Namespace) -> tuple[str, bool]:
     gens = build_generators(args.n)
     completeness = verify_completeness(gens, args.tolerance)
     deviations = {
@@ -244,11 +236,10 @@ def cmd_generators(args: argparse.Namespace) -> int:
         **deviations,
         "all_passed": all_passed,
     }
-    _emit_json(payload, args.output)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return _json(payload), all_passed
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
     kinds = [Channel(args.channel)] if args.channel else [Channel.S, Channel.T]
     checks = identity_checks(args.n, kinds, args.tolerance, args.seed)
     all_passed = all(c.passed for c in checks)
@@ -264,11 +255,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ],
         "all_passed": all_passed,
     }
-    _emit_json(payload, args.output)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return _json(payload), all_passed
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
+def cmd_encode(args: argparse.Namespace) -> tuple[str, bool]:
     n, d = args.n, args.n ** 2
     psi = None
     if args.psi is not None:
@@ -294,11 +284,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
         payload["postselection_probability"] = result.success_probability
         payload["postselection_annihilated"] = result.annihilated
     payload["all_passed"] = report.passed
-    _emit_json(payload, args.output)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _json(payload), report.passed
 
 
-def cmd_cross(args: argparse.Namespace) -> int:
+def cmd_cross(args: argparse.Namespace) -> tuple[str, bool]:
     a, b = parse_complex(args.a), parse_complex(args.b)
     source = ChannelSpec(Channel(args.channel or "s"), args.n)
     crossed, round_trip_dev, operator_dev = _crossing_deviations(
@@ -319,11 +308,10 @@ def cmd_cross(args: argparse.Namespace) -> int:
         "round_trip_deviation": round_trip_dev,
         "all_passed": all_passed,
     }
-    _emit_json(payload, args.output)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return _json(payload), all_passed
 
 
-def cmd_disk(args: argparse.Namespace) -> int:
+def cmd_disk(args: argparse.Namespace) -> tuple[str, bool]:
     rows = disk_samples(args.resolution)
     if args.format == "json":
         payload = {
@@ -333,8 +321,7 @@ def cmd_disk(args: argparse.Namespace) -> int:
                 for r in rows
             ],
         }
-        _emit_json(payload, args.output)
-        return EXIT_OK
+        return _json(payload), True
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["theta", "phi", "re_a", "im_a", "re_b", "im_b", "norm_sq"])
@@ -345,8 +332,7 @@ def cmd_disk(args: argparse.Namespace) -> int:
             repr(r.b.real), repr(r.b.imag),
             repr(r.norm_sq),
         ])
-    _emit(buffer.getvalue(), args.output)
-    return EXIT_OK
+    return buffer.getvalue(), True
 
 
 def read_sectors(path: str) -> list[PartialWaveSector]:
@@ -356,11 +342,13 @@ def read_sectors(path: str) -> list[PartialWaveSector]:
     """
     sectors = []
     with open(path, newline="", encoding="utf-8") as fh:
-        numbered = [
-            (line_number, row)
-            for line_number, row in enumerate(csv.reader(fh), start=1)
-            if row and any(cell.strip() for cell in row)
-        ]
+        reader = csv.reader(fh)
+        try:
+            # line_num is the file line a row ends on, also past a quoted field that spans lines
+            numbered = [(reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)]
+        except csv.Error as exc:
+            # csv.Error is no ValueError; a field over csv.field_size_limit() raises one
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
     if not numbered:
         return sectors
     header_line, header_row = numbered[0]
@@ -385,7 +373,7 @@ def read_sectors(path: str) -> list[PartialWaveSector]:
     return sectors
 
 
-def cmd_partial_wave(args: argparse.Namespace) -> int:
+def cmd_partial_wave(args: argparse.Namespace) -> tuple[str, bool]:
     sectors = read_sectors(args.sectors_file)
     if not sectors:
         # an empty table would pass every bound vacuously
@@ -411,19 +399,13 @@ def cmd_partial_wave(args: argparse.Namespace) -> int:
         ],
         "all_bounds_satisfied": all_satisfied,
     }
-    _emit_json(payload, args.output)
-    return EXIT_OK if all_satisfied else EXIT_CHECK_FAILED
+    return _json(payload), all_satisfied
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sun-gates", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
-        "--n": dict(type=_dimension, default=3, help=f"qudit dimension N, 2 to {MAX_DIMENSION} (default 3)"),
-        "verify --n": dict(type=_verify_dimension, default=3,
-                           help=f"qudit dimension N, 2 to {MAX_VERIFY_DIMENSION} (default 3)"),
-        "encode --n": dict(type=_encode_dimension, default=3,
-                           help=f"qudit dimension N, 2 to {MAX_ENCODE_DIMENSION} (default 3)"),
         "--channel": dict(choices=["s", "t"], default=None,
                           help="scattering channel (default s; verify runs both when omitted)"),
         # a string default goes through _tolerance; argparse converts it only when the flag is absent
@@ -438,13 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--output": dict(default=None, help="write output to this path instead of stdout"),
         "sectors_file": dict(help="CSV with header j,re_a,im_a,re_b,im_b,kappa"),
     }
+    # the commands in DIMENSION_LIMITS take --n first, up to their own limit
     commands = [
-        ("generators", cmd_generators, "build generators and verify their identities", "--n --tolerance"),
-        ("verify", cmd_verify, "run the full operator-identity suite", "--n --channel --tolerance --seed"),
-        ("encode", cmd_encode, "block-encode an amplitude a*I + b*Z",
-         "--n --channel --tolerance --a --b --psi"),
-        ("cross", cmd_cross, "transport coefficients to the crossed channel",
-         "--n --channel --tolerance --a --b"),
+        ("generators", cmd_generators, "build generators and verify their identities", "--tolerance"),
+        ("verify", cmd_verify, "run the full operator-identity suite", "--channel --tolerance --seed"),
+        ("encode", cmd_encode, "block-encode an amplitude a*I + b*Z", "--channel --tolerance --a --b --psi"),
+        ("cross", cmd_cross, "transport coefficients to the crossed channel", "--channel --tolerance --a --b"),
         ("disk", cmd_disk, "emit coefficient-disk samples", "--resolution --format"),
         ("partial-wave", cmd_partial_wave, "check unitarity bounds for a sector table",
          "sectors_file --tolerance"),
@@ -452,20 +433,31 @@ def build_parser() -> argparse.ArgumentParser:
     for name, run, help_text, flags in commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
+        if name in DIMENSION_LIMITS:
+            limit = DIMENSION_LIMITS[name]
+            p.add_argument("--n", type=_dimension_up_to(limit), default=3,
+                           help=f"qudit dimension N, 2 to {limit} (default 3)")
         for flag in [*flags.split(), "--output"]:
-            # a "command flag" key overrides the shared flag for that command alone
-            p.add_argument(flag, **options.get(f"{name} {flag}", options[flag]))
+            p.add_argument(flag, **options[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: the only place that writes its text and turns its verdict into the exit status."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.run(args)
+            text, passed = args.run(args)
+        if args.output:
+            # newline="" keeps the bytes stdout would get, the CSV's \r\n included
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except ArithmeticError as exc:
         # name the command and its numeric input as given on the command line
         given = [f"--{flag}={getattr(args, flag)}" for flag in ("a", "b") if hasattr(args, flag)]

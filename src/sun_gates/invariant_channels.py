@@ -52,8 +52,8 @@ from .sun_algebra import GeneratorSet, _fierz_tensor
 #: s -> t crossing reshuffle; select_crossing_axes re-derives it at N = 2, 3, 4.
 CROSSING_AXES = (0, 2, 3, 1)
 
-#: Minimum eigenvalue separation used when counting spectral multiplicities.
-EIGENVALUE_GAP = 1e-6
+# Minimum eigenvalue separation used when counting spectral multiplicities.
+_EIGENVALUE_GAP = 1e-6
 
 
 class Channel(enum.Enum):
@@ -232,23 +232,6 @@ def singlet_state(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex).reshape(n * n) / np.sqrt(n)
 
 
-def adjoint_states(gens: GeneratorSet) -> np.ndarray:
-    """Orthonormal basis of the adjoint subspace, one state per generator.
-
-    Row ``a`` is the normalized vector with components sqrt(2) (T^a)_ij on
-    |ij>; all rows are orthogonal to the singlet and are -1 eigenstates of the
-    charge-parity gate.  The global phase of each state is fixed by making its
-    first nonzero component real positive.
-    """
-    n = gens.n
-    states = np.sqrt(2.0) * gens.generators.reshape(len(gens), n * n)
-    for a in range(states.shape[0]):
-        nonzero = np.flatnonzero(np.abs(states[a]) > 1e-12)
-        lead = states[a, nonzero[0]]
-        states[a] *= np.conj(lead) / np.abs(lead)
-    return states
-
-
 def u_exponential_form(gens: GeneratorSet) -> np.ndarray:
     """Charge-parity gate as the exponential of the two-eigenvalue invariant.
 
@@ -260,13 +243,13 @@ def u_exponential_form(gens: GeneratorSet) -> np.ndarray:
     Raises
     ------
     ValueError
-        If X has more than two eigenvalue clusters at the EIGENVALUE_GAP
-        separation, which signals a wrong channel pairing.
+        If X's eigenvalues fall in more than two clusters (gaps over 1e-6),
+        which signals a wrong channel pairing.
     """
     n = gens.n
     x = charge_parity_bilinear(gens)
     evals, evecs = np.linalg.eigh(x)
-    splits = np.flatnonzero(np.diff(evals) > EIGENVALUE_GAP)
+    splits = np.flatnonzero(np.diff(evals) > _EIGENVALUE_GAP)
     clusters = np.split(evals, splits + 1)
     if len(clusters) != 2:
         raise ValueError(
@@ -304,15 +287,15 @@ def crossing_row_deviations(s_gates: GateSet, t_gates: GateSet,
             float(np.abs(_regroup(s_gates.z_gate, axes) - eye).max()))
 
 
-def select_crossing_axes(n: int, tolerance: float = 1e-12) -> list[tuple[int, ...]]:
+def select_crossing_axes(n: int) -> list[tuple[int, ...]]:
     """Empirical selection oracle for the crossing reshuffle.
 
     Enumerates the six index regroupings that keep the first outgoing leg as a
     spectator and returns those satisfying both gate relations
     crossed(identity) = (N/2)(identity + charge parity) and
-    crossed(swap) = identity at dimension ``n``.  Exactly one candidate
+    crossed(swap) = identity at dimension ``n`` to 1e-12.  Exactly one candidate
     survives; ``CROSSING_AXES`` hard-codes it.
     """
     s_gates, t_gates = build_gates(s_channel(n)), build_gates(t_channel(n))
     candidates = [(0,) + tail for tail in permutations((1, 2, 3))]
-    return [axes for axes in candidates if max(crossing_row_deviations(s_gates, t_gates, axes)) <= tolerance]
+    return [axes for axes in candidates if max(crossing_row_deviations(s_gates, t_gates, axes)) <= 1e-12]

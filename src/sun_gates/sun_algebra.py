@@ -120,9 +120,14 @@ def tracelessness_deviation(gens: GeneratorSet) -> float:
 
 
 def orthonormality_deviation(gens: GeneratorSet) -> float:
-    """Max entrywise deviation of Tr(T^a T^b) from delta_ab / 2."""
-    gram = np.einsum("aij,bji->ab", gens.generators, gens.generators)
-    d = len(gens)
+    """Max entrywise deviation of Tr(T^a T^b) from delta_ab / 2.
+
+    Tr(T^a T^b) = vec(T^a) . vec((T^b)^T), so the Gram matrix is one product of
+    the (N^2 - 1) x N^2 generator stack with its transposed-generator stack; it
+    assumes no Hermiticity.
+    """
+    d, t = len(gens), gens.generators
+    gram = t.reshape(d, -1) @ t.transpose(0, 2, 1).reshape(d, -1).T
     return float(np.abs(gram - 0.5 * np.eye(d)).max())
 
 

@@ -1,8 +1,11 @@
+import argparse
 import csv
 import json
+import re
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,9 +209,15 @@ def test_disk_json_format(tmp_path):
     assert data["rows"][0]["a"] == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("args", [["disk"], ["disk", "--format", "json"], ["verify", "--n", "2"]],
-                         ids=["disk-csv", "disk-json", "verify"])
-def test_output_file_gets_the_stdout_bytes(tmp_path, capsysbinary, args):
+@pytest.mark.parametrize("args", [
+    ["disk"], ["disk", "--format", "json"], ["verify", "--n", "2"], ["generators", "--n", "2"],
+    ["encode", "--n", "2", "--a", "0.5,0", "--b", "0.5,0", "--psi", "0,1,0,0"],
+    ["cross", "--n", "2", "--a", "1,0", "--b", "0,0"], ["partial-wave", "sectors.csv"],
+], ids=["disk-csv", "disk-json", "verify", "generators", "encode-psi", "cross", "partial-wave"])
+def test_output_file_gets_the_stdout_bytes(tmp_path, capsysbinary, monkeypatch, args):
+    # main alone writes: every command's file output is its stdout, byte for byte
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sectors.csv").write_text("j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0,1\n")
     assert main(args) == 0
     stdout = capsysbinary.readouterr().out
     out = tmp_path / "out"
@@ -259,6 +268,20 @@ def test_partial_wave_line_numbers_skip_blanks(tmp_path, capsys):
     sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n\n0,1,0,0,0,1\n\n2,bad,0,0,0,1\n")
     assert main(["partial-wave", str(sectors)]) == 2
     assert "line 5" in capsys.readouterr().err
+    # a quoted field spanning two lines: the bad row is file line 4, though it is the third record
+    sectors.write_text('j,re_a,im_a,re_b,im_b,kappa\n"0\n",1,0,0,0,1\n1,bad,0,0,0,1\n')
+    assert main(["partial-wave", str(sectors)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_partial_wave_oversized_field_is_usage_error(tmp_path, capsys):
+    # csv.Error, raised past csv.field_size_limit(), is no ValueError; it still exits 2 naming the line
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n0," + "1" * 200_000 + ",0,0,0,1\n")
+    code, text = run(tmp_path, "partial-wave", str(sectors))
+    captured = capsys.readouterr()
+    assert (code, text, captured.out) == (2, "", "")
+    assert "line 2" in captured.err and "Traceback" not in captured.err
 
 
 def test_partial_wave_missing_file(capsys):
@@ -393,8 +416,8 @@ def test_disk_resolution_above_limit_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["generators", "verify", "encode", "cross"])
 def test_dimension_above_limit_is_usage_error(tmp_path, capsys, command):
     # never test a dimension that would allocate: the limit is checked while parsing
-    # (verify's lower cap has its own test below; above MAX_DIMENSION the shared message wins)
-    limit = MAX_ENCODE_DIMENSION if command == "encode" else MAX_DIMENSION
+    limit = {"generators": MAX_DIMENSION, "verify": MAX_VERIFY_DIMENSION,
+             "encode": MAX_ENCODE_DIMENSION, "cross": MAX_DIMENSION}[command]
     coefficients = ["--a", "1,0", "--b", "0,0"] if command in ("encode", "cross") else []
     code, text = run(tmp_path, command, "--n", str(limit + 1), *coefficients)
     err = capsys.readouterr().err
@@ -414,6 +437,26 @@ def test_verify_dimension_above_its_limit_is_usage_error(tmp_path, capsys):
     assert build_parser().parse_args(["verify", "--n", str(MAX_VERIFY_DIMENSION)]).n == MAX_VERIFY_DIMENSION
     encode = build_parser().parse_args(["encode", "--n", str(MAX_DIMENSION), "--a", "1,0", "--b", "0,0"])
     assert encode.n == MAX_DIMENSION
+
+
+def test_readme_command_table_matches_the_parser(capsys):
+    # the README's subcommand/flag table, its flag order and each "--n (2 to LIMIT)" against build_parser
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(table) == list(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        flags = [a.option_strings[0] if a.option_strings else a.dest.upper()
+                 for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert re.findall(r"`(--[a-z-]+|[A-Z_]+)`", table[name]) == flags, name
+        if "--n" not in flags:
+            continue
+        limit = int(re.search(r"`--n` \(2 to (\d+)", table[name]).group(1))
+        coefficients = ["--a", "1,0", "--b", "0,0"] if "--a" in flags else []
+        assert build_parser().parse_args([name, "--n", str(limit), *coefficients]).n == limit
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--n", str(limit + 1), *coefficients])
+        assert f"at most {limit}," in capsys.readouterr().err
 
 
 def count_calls(monkeypatch, *names):

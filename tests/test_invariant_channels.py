@@ -10,7 +10,6 @@ from sun_gates.invariant_channels import (
     CROSSING_AXES,
     Channel,
     ChannelSpec,
-    adjoint_states,
     build_gates,
     build_projectors,
     charge_parity_bilinear,
@@ -144,30 +143,6 @@ def test_singlet_state_properties(n):
     gates = build_gates(t_channel(n))
     assert np.abs(gates.z_gate @ psi - psi).max() <= 1e-12
     assert np.abs(projs.p_plus @ psi - psi).max() <= 1e-12
-
-
-def test_adjoint_state_from_diagonal_generator():
-    # generator index 2 at N=2 is sigma_z / 2, so the state is (1,0,0,-1)/sqrt(2)
-    states = adjoint_states(build_generators(2))
-    expected = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
-    np.testing.assert_allclose(states[2], expected, atol=1e-15)
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_adjoint_states_properties(n):
-    gens = build_generators(n)
-    states = adjoint_states(gens)
-    gates = build_gates(t_channel(n))
-    psi = singlet_state(n)
-    assert states.shape == (n * n - 1, n * n)
-    for state in states:
-        assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
-        assert abs(np.vdot(psi, state)) <= 1e-12
-        assert np.abs(gates.z_gate @ state + state).max() <= 1e-12
-    # full Gram matrix of singlet + adjoint basis is the identity
-    basis = np.vstack([psi, states])
-    gram = basis.conj() @ basis.T
-    assert np.abs(gram - np.eye(n * n)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -50,6 +50,22 @@ def test_generator_invariants(n):
     assert orthonormality_deviation(gens) <= 1e-12
 
 
+def _non_hermitian_sets():
+    rng = np.random.default_rng(7)
+    shape = (15, 4, 4)
+    # i T^a is anti-Hermitian: Tr(iT^a iT^b) = -delta_ab / 2, where a conjugated stack would read +1/2
+    yield GeneratorSet(3, 1j * build_generators(3).generators)
+    yield GeneratorSet(4, (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 4)
+
+
+@pytest.mark.parametrize("gens", [*map(build_generators, range(2, 9)), *_non_hermitian_sets()],
+                         ids=[*(f"n{n}" for n in range(2, 9)), "anti-hermitian", "random"])
+def test_orthonormality_matches_the_einsum_trace(gens):
+    gram = np.einsum("aij,bji->ab", gens.generators, gens.generators)
+    oracle = float(np.abs(gram - 0.5 * np.eye(len(gens))).max())
+    assert abs(orthonormality_deviation(gens) - oracle) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_rejects_dimension_below_two(n):
     with pytest.raises(ValueError):
