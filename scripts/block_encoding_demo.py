@@ -15,7 +15,7 @@ import numpy as np
 
 from sun_gates.amplitude_model import AmplitudeCoefficients
 from sun_gates.cli import DIMENSION_LIMITS, _dimension_up_to, _seed
-from sun_gates.invariant_channels import Channel, ChannelSpec, build_gates
+from sun_gates.invariant_channels import Channel, ChannelSpec
 from sun_gates.lcu_encoder import apply_with_postselection, export_circuit, plan_encoding, verify_block
 
 
@@ -30,7 +30,6 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     spec = ChannelSpec(Channel(args.channel), args.n)
-    gates = build_gates(spec)
 
     a, b = (complex(*pair) for pair in rng.normal(size=(2, 2)))
     coeffs = AmplitudeCoefficients(spec, a, b)
@@ -45,8 +44,8 @@ def main():
     d = args.n ** 2
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    result = apply_with_postselection(plan, gates, psi)
-    direct = np.linalg.norm(a * psi + b * (gates.z_gate @ psi)) ** 2 / plan.alpha ** 2
+    result = apply_with_postselection(plan, psi)
+    direct = np.linalg.norm(a * psi + b * (spec.z_gate @ psi)) ** 2 / plan.alpha ** 2
     print(f"postselection probability: {result.success_probability:.6f} "
           f"(direct application: {direct:.6f})")
 

@@ -23,9 +23,7 @@ from .invariant_channels import (
     CROSSING_AXES,
     Channel,
     ChannelSpec,
-    GateSet,
     ProjectorSet,
-    build_gates,
     build_projectors,
     charge_parity_bilinear,
     crossing_map,

@@ -1,7 +1,8 @@
 """Invariant amplitudes a * identity + b * Z and their constraints.
 
 Every invariant two-qudit amplitude in a channel is a complex combination of
-the channel's two gates.  This module projects operators onto the channel
+the channel's two gates, so coefficients (a, b) and their ``ChannelSpec`` are
+the whole amplitude.  This module projects operators onto the channel
 scalars, transforms coefficients between channels under crossing, realizes the
 unitary boundary of the coefficient disk, and checks the per-partial-wave
 unitarity bound |a_J|^2 + |b_J|^2 <= 1.
@@ -16,7 +17,6 @@ import numpy as np
 from .invariant_channels import (
     Channel,
     ChannelSpec,
-    GateSet,
     ProjectorSet,
     s_channel,
     t_channel,
@@ -33,13 +33,9 @@ class AmplitudeCoefficients:
     b: complex
 
 
-def amplitude_operator(coeffs: AmplitudeCoefficients, gates: GateSet) -> np.ndarray:
-    """Assemble the amplitude matrix a * identity + b * Z."""
-    if coeffs.channel != gates.channel:
-        raise ValueError(
-            f"coefficient channel {coeffs.channel} does not match gate channel {gates.channel}"
-        )
-    return coeffs.a * gates.s_identity + coeffs.b * gates.z_gate
+def amplitude_operator(coeffs: AmplitudeCoefficients) -> np.ndarray:
+    """Assemble the amplitude matrix a * identity + b * Z of the coefficients' channel."""
+    return coeffs.a * coeffs.channel.s_identity + coeffs.b * coeffs.channel.z_gate
 
 
 def scalar_amplitudes(m: np.ndarray, projs: ProjectorSet) -> tuple[complex, complex]:
@@ -89,7 +85,7 @@ def cross_coefficients(coeffs: AmplitudeCoefficients) -> AmplitudeCoefficients:
     )
 
 
-def unitary_parameterization(theta: float, phi: float, gates: GateSet) -> AmplitudeCoefficients:
+def unitary_parameterization(theta: float, phi: float, channel: ChannelSpec) -> AmplitudeCoefficients:
     """Coefficients a = e^{i phi} cos(theta), b = i e^{i phi} sin(theta).
 
     These satisfy |a|^2 + |b|^2 = 1 and Re(a* b) = 0, and the resulting
@@ -98,7 +94,7 @@ def unitary_parameterization(theta: float, phi: float, gates: GateSet) -> Amplit
     """
     phase = np.exp(1j * phi)
     return AmplitudeCoefficients(
-        channel=gates.channel,
+        channel=channel,
         a=complex(phase * np.cos(theta)),
         b=complex(1j * phase * np.sin(theta)),
     )

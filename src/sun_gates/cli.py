@@ -35,7 +35,6 @@ from .amplitude_model import (
 from .invariant_channels import (
     Channel,
     ChannelSpec,
-    build_gates,
     build_projectors,
     crossing_map,
     crossing_row_deviations,
@@ -60,15 +59,13 @@ from .sun_algebra import (
 
 ENV_TOLERANCE = "SUN_GATES_TOLERANCE"
 
-#: Largest accepted --n for generators, verify and cross, which hold dense N^2 x N^2 (and N^4-entry) arrays.
-MAX_DIMENSION = 32
-#: Largest --n for encode: it applies Z to --psi in O(N^2) and holds no N^2 x N^2 array.
-MAX_ENCODE_DIMENSION = 64
-#: Largest --n for verify: its decompose/reconstruct round trip is an O(N^8) einsum, ~50 s at N = 16.
-MAX_VERIFY_DIMENSION = 16
 #: Each command that takes --n, with its largest N; the parser and both scripts build --n from this entry.
-DIMENSION_LIMITS = {"generators": MAX_DIMENSION, "verify": MAX_VERIFY_DIMENSION,
-                    "encode": MAX_ENCODE_DIMENSION, "cross": MAX_DIMENSION}
+DIMENSION_LIMITS = {
+    "generators": 32,  # holds dense N^2 x N^2 (and N^4-entry) arrays
+    "verify": 16,      # its decompose/reconstruct round trip is an O(N^8) einsum, ~50 s at N = 16
+    "encode": 64,      # applies Z to --psi in O(N^2) and holds no N^2 x N^2 array
+    "cross": 32,       # holds dense N^2 x N^2 (and N^4-entry) arrays
+}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -124,13 +121,13 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max())
 
 
-def _crossing_deviations(coeffs: AmplitudeCoefficients, s_gates, t_gates):
+def _crossing_deviations(coeffs: AmplitudeCoefficients):
     """Cross ``coeffs``; return (crossed, round-trip deviation, operator-consistency deviation)."""
     crossed = cross_coefficients(coeffs)
     back = cross_coefficients(crossed)
     s_coeffs, t_coeffs = (coeffs, crossed) if coeffs.channel.kind is Channel.S else (crossed, coeffs)
-    m_s = amplitude_operator(s_coeffs, s_gates)
-    m_t = amplitude_operator(t_coeffs, t_gates)
+    m_s = amplitude_operator(s_coeffs)
+    m_t = amplitude_operator(t_coeffs)
     round_trip = max(abs(back.a - coeffs.a), abs(back.b - coeffs.b))
     return crossed, round_trip, _max_abs(crossing_map(m_s) - m_t)
 
@@ -153,20 +150,20 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
     ]
 
     eye = np.eye(d, dtype=complex)
-    # both channels' gates: the crossing checks below tie them together, so they always run
-    s_gates, t_gates = (build_gates(ChannelSpec(kind, n)) for kind in (Channel.S, Channel.T))
+    # both channels: the crossing checks below tie them together, so they always run
+    s_spec, t_spec = (ChannelSpec(kind, n) for kind in (Channel.S, Channel.T))
     for kind in kinds:
         tag = kind.value
-        gates = s_gates if kind is Channel.S else t_gates
-        z = gates.z_gate
+        spec = s_spec if kind is Channel.S else t_spec
+        z = spec.z_gate
         # the delta-index projectors, built apart from the closed-form Z
-        projs = build_projectors(gates.channel)
+        projs = build_projectors(spec)
         p_plus, p_minus = projs.p_plus, projs.p_minus
         if kind is Channel.S:
             trace_plus, trace_minus = n * (n + 1) / 2.0, n * (n - 1) / 2.0
         else:
             trace_plus, trace_minus = 1.0, float(d - 1)
-        g_plus, g_minus = generator_form_projectors(gates.channel, gens)
+        g_plus, g_minus = generator_form_projectors(spec, gens)
         results += [
             check(f"projector_idempotence[{tag}]",
                   max(_max_abs(p_plus @ p_plus - p_plus), _max_abs(p_minus @ p_minus - p_minus))),
@@ -199,12 +196,11 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
             overlap = abs(np.einsum("ij,ij", z.conj(), u_exp)) / d
             results.append(check("u_exponential_form", abs(1.0 - overlap)))
 
-    row_identity, row_swap = crossing_row_deviations(s_gates, t_gates)
+    row_identity, row_swap = crossing_row_deviations(s_spec, t_spec)
     results += [check("crossing_row_identity", row_identity), check("crossing_row_swap", row_swap)]
 
     a, b = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-    _, round_trip, operator_dev = _crossing_deviations(
-        AmplitudeCoefficients(ChannelSpec(Channel.S, n), a, b), s_gates, t_gates)
+    _, round_trip, operator_dev = _crossing_deviations(AmplitudeCoefficients(s_spec, a, b))
     results += [check("crossing_coefficient_round_trip", round_trip),
                 check("crossing_operator_consistency", operator_dev)]
 
@@ -280,7 +276,7 @@ def cmd_encode(args: argparse.Namespace) -> tuple[str, bool]:
         "w_unitarity_deviation": report.w_unitarity_deviation,
     }
     if psi is not None:
-        result = apply_with_postselection(plan, build_gates(channel), psi)
+        result = apply_with_postselection(plan, psi)
         payload["postselection_probability"] = result.success_probability
         payload["postselection_annihilated"] = result.annihilated
     payload["all_passed"] = report.passed
@@ -290,11 +286,7 @@ def cmd_encode(args: argparse.Namespace) -> tuple[str, bool]:
 def cmd_cross(args: argparse.Namespace) -> tuple[str, bool]:
     a, b = parse_complex(args.a), parse_complex(args.b)
     source = ChannelSpec(Channel(args.channel or "s"), args.n)
-    crossed, round_trip_dev, operator_dev = _crossing_deviations(
-        AmplitudeCoefficients(source, a, b),
-        build_gates(ChannelSpec(Channel.S, args.n)),
-        build_gates(ChannelSpec(Channel.T, args.n)),
-    )
+    crossed, round_trip_dev, operator_dev = _crossing_deviations(AmplitudeCoefficients(source, a, b))
     all_passed = operator_dev <= args.tolerance and round_trip_dev <= args.tolerance
     payload = {
         "n": args.n,

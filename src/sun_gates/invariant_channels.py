@@ -12,13 +12,14 @@ H_N (x) H_N:
   complement, traces 1 and N^2 - 1.  The difference P_plus - P_minus is the
   charge-parity gate, +1 on the singlet and -1 on the adjoint states.
 
-Each channel's gates are {identity, Z}, and ``GateSet`` holds neither as an
-array until one is read.  ``GateSet.apply_z`` applies Z to a state in O(N^2):
-a transpose of its N x N reshape in the s-channel, the singlet reflection
-2<s|psi>|s> - psi in the t-channel.  The dense ``GateSet.z_gate`` comes from
-the closed forms, ``swap_matrix`` and (2/N)|vec I><vec I| - I, never from
-``build_projectors``, so the CLI ``verify`` suite checks each channel's
-projectors and Z as two independent constructions.
+A ``ChannelSpec`` is its channel's gate pair {identity, Z} and holds neither
+as an array until one is read.  ``ChannelSpec.apply_z`` applies Z to a state
+in O(N^2): a transpose of its N x N reshape in the s-channel, the singlet
+reflection 2<s|psi>|s> - psi in the t-channel.  The dense
+``ChannelSpec.z_gate`` comes from the closed forms, ``swap_matrix`` and
+(2/N)|vec I><vec I| - I, never from ``build_projectors``, so the CLI
+``verify`` suite checks each channel's projectors and Z as two independent
+constructions.
 
 Because the second factor of the t-channel carries the conjugate
 representation, its generator bilinear enters the computational basis with a
@@ -39,6 +40,7 @@ parity) and crossed(swap) = identity.  ``select_crossing_axes`` and the CLI
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -46,7 +48,7 @@ from math import isqrt
 
 import numpy as np
 
-from .sun_algebra import GeneratorSet, _fierz_tensor
+from .sun_algebra import GeneratorSet
 
 #: Axes permutation (for a (N,N,N,N)-reshaped operator) implementing the
 #: s -> t crossing reshuffle; select_crossing_axes re-derives it at N = 2, 3, 4.
@@ -65,7 +67,15 @@ class Channel(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A channel tag plus the qudit dimension it applies to."""
+    """A channel tag plus the qudit dimension it applies to, and so the channel's gate pair {identity, Z}.
+
+    Z is the swap gate in the s-channel and the charge-parity gate in the
+    t-channel; in both cases it is Hermitian, unitary, and squares to the
+    identity, so {s_identity, z_gate} closes into a two-element group.
+    ``apply_z`` acts with Z on one state without a matrix; ``z_gate`` builds
+    the dense N^2 x N^2 Z on its first read and keeps it, read-only.  The
+    spec compares, hashes and prints by ``kind`` and ``n`` alone.
+    """
 
     kind: Channel
     n: int
@@ -73,8 +83,50 @@ class ChannelSpec:
     def __post_init__(self):
         if not isinstance(self.kind, Channel):
             raise TypeError(f"kind must be a Channel, got {self.kind!r}")
+        if not isinstance(self.n, numbers.Integral):
+            raise TypeError(f"qudit dimension must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"qudit dimension must be at least 2, got {self.n}")
+
+    @cached_property
+    def z_gate(self) -> np.ndarray:
+        """Dense Z: ``swap_matrix(n)``, or (2/N)|vec I><vec I| with its diagonal shifted by -1 in place."""
+        n = self.n
+        if self.kind is Channel.S:
+            z = swap_matrix(n)
+        else:
+            vec_eye = np.eye(n, dtype=complex).reshape(n * n)
+            z = np.multiply.outer(vec_eye, (2.0 / n) * vec_eye)
+            z.flat[::n * n + 1] -= 1.0
+        z.setflags(write=False)
+        return z
+
+    @property
+    def s_identity(self) -> np.ndarray:
+        """The N^2 x N^2 identity gate, a fresh array on every access."""
+        return np.eye(self.n ** 2, dtype=complex)
+
+    def apply_z(self, psi: np.ndarray) -> np.ndarray:
+        """Z psi as a new vector in O(N^2), equal to ``z_gate @ psi`` without forming ``z_gate``.
+
+        s-channel: psi[(i,j)] -> psi[(j,i)], the transpose of psi's N x N
+        reshape.  t-channel: 2<s|psi>|s> - psi, i.e. -psi with
+        (2/N) sum_i psi[i(N+1)] added at the N indices i(N+1) of |vec I>.
+
+        Raises
+        ------
+        ValueError
+            If ``psi`` is not of shape (N^2,).
+        """
+        n = self.n
+        psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (n * n,):
+            raise ValueError(f"expected a state vector of shape ({n * n},), got shape {psi.shape}")
+        if self.kind is Channel.S:
+            return psi.reshape(n, n).T.ravel()
+        out = -psi
+        out[::n + 1] += (2.0 / n) * psi[::n + 1].sum()
+        return out
 
 
 def s_channel(n: int) -> ChannelSpec:
@@ -96,60 +148,6 @@ class ProjectorSet:
     def __post_init__(self):
         self.p_plus.setflags(write=False)
         self.p_minus.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class GateSet:
-    """The invariant gate pair {identity, Z} of a channel, stored as the channel alone.
-
-    Z is the swap gate in the s-channel and the charge-parity gate in the
-    t-channel; in both cases it is Hermitian, unitary, and squares to the
-    identity, so {s_identity, z_gate} closes into a two-element group.
-    ``apply_z`` acts with Z on one state without a matrix; ``z_gate`` builds
-    the dense N^2 x N^2 Z on its first read and keeps it, read-only.
-    """
-
-    channel: ChannelSpec
-
-    @cached_property
-    def z_gate(self) -> np.ndarray:
-        """Dense Z: ``swap_matrix(n)``, or (2/N)|vec I><vec I| with its diagonal shifted by -1 in place."""
-        n = self.channel.n
-        if self.channel.kind is Channel.S:
-            z = swap_matrix(n)
-        else:
-            vec_eye = np.eye(n, dtype=complex).reshape(n * n)
-            z = np.multiply.outer(vec_eye, (2.0 / n) * vec_eye)
-            z.flat[::n * n + 1] -= 1.0
-        z.setflags(write=False)
-        return z
-
-    @property
-    def s_identity(self) -> np.ndarray:
-        """The N^2 x N^2 identity gate, a fresh array on every access."""
-        return np.eye(self.channel.n ** 2, dtype=complex)
-
-    def apply_z(self, psi: np.ndarray) -> np.ndarray:
-        """Z psi as a new vector in O(N^2), equal to ``z_gate @ psi`` without forming ``z_gate``.
-
-        s-channel: psi[(i,j)] -> psi[(j,i)], the transpose of psi's N x N
-        reshape.  t-channel: 2<s|psi>|s> - psi, i.e. -psi with
-        (2/N) sum_i psi[i(N+1)] added at the N indices i(N+1) of |vec I>.
-
-        Raises
-        ------
-        ValueError
-            If ``psi`` is not of shape (N^2,).
-        """
-        n = self.channel.n
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (n * n,):
-            raise ValueError(f"expected a state vector of shape ({n * n},), got shape {psi.shape}")
-        if self.channel.kind is Channel.S:
-            return psi.reshape(n, n).T.ravel()
-        out = -psi
-        out[::n + 1] += (2.0 / n) * psi[::n + 1].sum()
-        return out
 
 
 def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -201,7 +199,7 @@ def generator_form_projectors(channel: ChannelSpec, gens: GeneratorSet) -> tuple
     n = channel.n
     eye = np.eye(n * n, dtype=complex)
     if channel.kind is Channel.S:
-        x = _regroup(_fierz_tensor(gens), (0, 2, 1, 3))
+        x = _regroup(gens.fierz, (0, 2, 1, 3))
         p_plus = (n + 1) / (2.0 * n) * eye + x
         p_minus = (n - 1) / (2.0 * n) * eye - x
     else:
@@ -217,12 +215,7 @@ def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:
     X has exactly two eigenvalues: (N^2-1)/(2N) on the singlet and -1/(2N) on
     the adjoint subspace.
     """
-    return _regroup(_fierz_tensor(gens), (0, 3, 1, 2))
-
-
-def build_gates(channel: ChannelSpec) -> GateSet:
-    """The channel's gate pair; allocates no array (``GateSet.apply_z``, ``GateSet.z_gate``)."""
-    return GateSet(channel=channel)
+    return _regroup(gens.fierz, (0, 3, 1, 2))
 
 
 def singlet_state(n: int) -> np.ndarray:
@@ -278,13 +271,13 @@ def crossing_map(op: np.ndarray) -> np.ndarray:
     return _regroup(op, CROSSING_AXES)
 
 
-def crossing_row_deviations(s_gates: GateSet, t_gates: GateSet,
+def crossing_row_deviations(s: ChannelSpec, t: ChannelSpec,
                             axes: tuple[int, ...] = CROSSING_AXES) -> tuple[float, float]:
     """Max deviations |crossed(I) - (N/2)(I + Z_t)| and |crossed(SWAP) - I| under the regrouping ``axes``."""
-    n = s_gates.channel.n
+    n = s.n
     eye = np.eye(n * n, dtype=complex)
-    return (float(np.abs(_regroup(s_gates.s_identity, axes) - (n / 2.0) * (eye + t_gates.z_gate)).max()),
-            float(np.abs(_regroup(s_gates.z_gate, axes) - eye).max()))
+    return (float(np.abs(_regroup(s.s_identity, axes) - (n / 2.0) * (eye + t.z_gate)).max()),
+            float(np.abs(_regroup(s.z_gate, axes) - eye).max()))
 
 
 def select_crossing_axes(n: int) -> list[tuple[int, ...]]:
@@ -296,6 +289,6 @@ def select_crossing_axes(n: int) -> list[tuple[int, ...]]:
     crossed(swap) = identity at dimension ``n`` to 1e-12.  Exactly one candidate
     survives; ``CROSSING_AXES`` hard-codes it.
     """
-    s_gates, t_gates = build_gates(s_channel(n)), build_gates(t_channel(n))
+    s, t = s_channel(n), t_channel(n)
     candidates = [(0,) + tail for tail in permutations((1, 2, 3))]
-    return [axes for axes in candidates if max(crossing_row_deviations(s_gates, t_gates, axes)) <= 1e-12]
+    return [axes for axes in candidates if max(crossing_row_deviations(s, t, axes)) <= 1e-12]

@@ -17,8 +17,9 @@ sign conventions change only unobservable phases; the block identity
 The circuit is always four gates and one ancilla, independent of N; it is
 the single definition of W.  Since Z^2 = I, it replays in the Z2 algebra to a
 2x2 pair (A, B) with W = A (x) I + B (x) Z, and only ``build_w`` forms W.
-Postselection needs Z only as an action on the system register,
-``GateSet.apply_z``, so it holds no N^2 x N^2 array.
+Every function reads the channel, and so Z, from the plan.  Postselection
+needs Z only as an action on the system register, ``ChannelSpec.apply_z``, so
+it holds no N^2 x N^2 array.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .amplitude_model import AmplitudeCoefficients
-from .invariant_channels import ChannelSpec, GateSet
+from .invariant_channels import ChannelSpec
 from .sun_algebra import DEFAULT_TOLERANCE
 
 
@@ -98,10 +99,10 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
     return BlockEncodingPlan(channel=coeffs.channel, alpha=alpha, gamma=gamma, phi_a=phi_a, phi_b=phi_b)
 
 
-def build_w(plan: BlockEncodingPlan, gates: GateSet) -> np.ndarray:
+def build_w(plan: BlockEncodingPlan) -> np.ndarray:
     """Assemble the dense ancilla-system unitary W = A (x) I + B (x) Z from the replayed circuit."""
-    a, b = _run_circuit(export_circuit(plan), gates.channel)
-    return np.kron(a, gates.s_identity) + np.kron(b, gates.z_gate)
+    a, b = _run_circuit(export_circuit(plan))
+    return np.kron(a, plan.channel.s_identity) + np.kron(b, plan.channel.z_gate)
 
 
 def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients, tolerance: float) -> BlockEncodingReport:
@@ -111,8 +112,15 @@ def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients, toleran
     block identity deviation is max(|A_00 - a / alpha|, |B_00 - b / alpha|).
     Z = P+ - P- is a Hermitian involution, so W = W+ (x) P+ + W- (x) P- with
     W+- = A +- B, and the unitarity deviation is max over +- of |W+-^dagger W+- - I|.
+
+    Raises
+    ------
+    ValueError
+        If the plan and the coefficients are for different channels.
     """
-    a, b = _run_circuit(export_circuit(plan), coeffs.channel)
+    if plan.channel != coeffs.channel:
+        raise ValueError(f"plan is for {plan.channel}, coefficients for {coeffs.channel}")
+    a, b = _run_circuit(export_circuit(plan))
     # divide re and im apart: complex division multiplies by 1 / alpha, which overflows for a subnormal alpha
     block = max(abs(top - complex(c.real / plan.alpha, c.imag / plan.alpha))
                 for top, c in ((a[0, 0], coeffs.a), (b[0, 0], coeffs.b)))
@@ -125,9 +133,7 @@ def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients, toleran
     )
 
 
-def apply_with_postselection(
-    plan: BlockEncodingPlan, gates: GateSet, psi: np.ndarray
-) -> PostselectionResult:
+def apply_with_postselection(plan: BlockEncodingPlan, psi: np.ndarray) -> PostselectionResult:
     """Run the encoding circuit on |0> (x) |psi> and postselect ancilla |0>.
 
     The surviving branch is A_00 psi + B_00 Z psi = M psi / alpha, so the
@@ -141,8 +147,8 @@ def apply_with_postselection(
     norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= DEFAULT_TOLERANCE:
         raise ValueError(f"input state must be normalized and finite, got norm {norm}")
-    a, b = _run_circuit(export_circuit(plan), gates.channel)
-    branch = a[0, 0] * psi + b[0, 0] * gates.apply_z(psi)
+    a, b = _run_circuit(export_circuit(plan))
+    branch = a[0, 0] * psi + b[0, 0] * plan.channel.apply_z(psi)
     probability = float(np.linalg.norm(branch) ** 2)
     annihilated = probability <= 1e-24
     state = np.zeros(d, dtype=complex) if annihilated else branch / np.linalg.norm(branch)
@@ -170,7 +176,7 @@ def export_circuit(plan: BlockEncodingPlan) -> dict[str, Any]:
     }
 
 
-def _run_circuit(circuit: dict[str, Any], channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+def _run_circuit(circuit: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     """Replay the circuit's gates in list order; return the 2x2 pair (A, B) with W = A (x) I + B (x) Z.
 
     A gate (G_A, G_B) acts on (A, B) as (G_A A + G_B B, G_A B + G_B A), since
@@ -178,10 +184,6 @@ def _run_circuit(circuit: dict[str, Any], channel: ChannelSpec) -> tuple[np.ndar
     other ancilla value alone and multiplies its own, |c><c| with
     c = ``control_value``, by e^{i phase} times its target, I or Z.
     """
-    if circuit["channel"] != channel.kind.value or circuit["n"] != channel.n:
-        raise ValueError(
-            f"circuit is for channel {circuit['channel']!r} at N={circuit['n']}, not for {channel}"
-        )
     a, b = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
     for gate in circuit["gates"]:
         if gate["name"] == "ry":

@@ -12,6 +12,7 @@ as complex floats, so the defining identities hold at machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,19 @@ class GeneratorSet:
 
     def __getitem__(self, a: int) -> np.ndarray:
         return self.generators[a]
+
+    @cached_property
+    def fierz(self) -> np.ndarray:
+        """The Fierz tensor sum_a vec(T^a) vec(T^a)^T as G^T G, G the (N^2 - 1) x N^2 generator stack.
+
+        Entry [(i,j),(k,l)] is sum_a (T^a)_ij (T^a)_kl.  Both channels' generator
+        bilinears and the completeness check read this one matrix, built on its
+        first read and kept read-only.
+        """
+        g = self.generators.reshape(len(self), self.n ** 2)
+        f = g.T @ g
+        f.setflags(write=False)
+        return f
 
 
 @dataclass(frozen=True)
@@ -131,16 +145,6 @@ def orthonormality_deviation(gens: GeneratorSet) -> float:
     return float(np.abs(gram - 0.5 * np.eye(d)).max())
 
 
-def _fierz_tensor(gens: GeneratorSet) -> np.ndarray:
-    """sum_a vec(T^a) vec(T^a)^T as G^T G, G the (N^2 - 1) x N^2 generator stack.
-
-    Entry [(i,j),(k,l)] is sum_a (T^a)_ij (T^a)_kl.  Both channels' generator
-    bilinears are index regroupings of this one matrix.
-    """
-    g = gens.generators.reshape(len(gens), gens.n ** 2)
-    return g.T @ g
-
-
 def verify_completeness(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE) -> CompletenessReport:
     """Check the completeness (Fierz) identity of the generator basis.
 
@@ -148,7 +152,7 @@ def verify_completeness(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE
     over all index tuples (i, j, k, l) and reports the max absolute deviation.
     """
     n = gens.n
-    lhs = _fierz_tensor(gens).reshape(n, n, n, n)
+    lhs = gens.fierz.reshape(n, n, n, n)
     eye = np.eye(n)
     rhs = 0.5 * (
         np.einsum("il,jk->ijkl", eye, eye)

@@ -26,7 +26,6 @@ from sun_gates.invariant_channels import (
     CROSSING_AXES,
     Channel,
     ChannelSpec,
-    build_gates,
     build_projectors,
     crossing_map,
     generator_form_projectors,
@@ -120,12 +119,12 @@ def test_criterion_3_gate_suite():
         gens = build_generators(n)
         eye = np.eye(n * n)
         for kind in (Channel.S, Channel.T):
-            gates = build_gates(ChannelSpec(kind, n))
-            z = gates.z_gate
+            spec = ChannelSpec(kind, n)
+            z = spec.z_gate
             worst = max(
                 worst,
                 np.abs(z.conj().T @ z - eye).max(),
-                np.abs(z @ z - gates.s_identity).max(),
+                np.abs(z @ z - spec.s_identity).max(),
             )
             if kind is Channel.S:
                 worst = max(worst, np.abs(z - swap_matrix(n)).max())
@@ -148,13 +147,13 @@ def test_criterion_3_gate_suite():
 def test_criterion_4_crossing():
     rows_worst = 0.0
     for n in range(2, 7):
-        s_gates = build_gates(ChannelSpec(Channel.S, n))
-        t_gates = build_gates(ChannelSpec(Channel.T, n))
+        s_spec = ChannelSpec(Channel.S, n)
+        t_spec = ChannelSpec(Channel.T, n)
         eye = np.eye(n * n)
         rows_worst = max(
             rows_worst,
-            np.abs(crossing_map(s_gates.s_identity) - (n / 2.0) * (eye + t_gates.z_gate)).max(),
-            np.abs(crossing_map(s_gates.z_gate) - eye).max(),
+            np.abs(crossing_map(s_spec.s_identity) - (n / 2.0) * (eye + t_spec.z_gate)).max(),
+            np.abs(crossing_map(s_spec.z_gate) - eye).max(),
         )
     rng = np.random.default_rng(404)
     round_trip_worst = 0.0
@@ -180,9 +179,8 @@ def test_criterion_5_amplitude_algebra():
         for kind in (Channel.S, Channel.T):
             spec = ChannelSpec(kind, n)
             projs = build_projectors(spec)
-            gates = build_gates(spec)
             for a, b in random_pairs(rng, 100):
-                m = amplitude_operator(AmplitudeCoefficients(spec, a, b), gates)
+                m = amplitude_operator(AmplitudeCoefficients(spec, a, b))
                 mp, mm = scalar_amplitudes(m, projs)
                 worst_scalar = max(worst_scalar, abs(mp - (a + b)), abs(mm - (a - b)))
                 worst_residual = max(worst_residual, invariance_residual(m, projs))
@@ -198,14 +196,14 @@ def test_criterion_6_unitary_parameterization():
     worst_norm = 0.0
     worst_overlap = 0.0
     for kind in (Channel.S, Channel.T):
-        gates = build_gates(ChannelSpec(kind, 3))
+        spec = ChannelSpec(kind, 3)
         for theta in np.linspace(0.0, 2.0 * np.pi, 8):
             for phi in np.linspace(-np.pi, np.pi, 8):
-                c = unitary_parameterization(theta, phi, gates)
+                c = unitary_parameterization(theta, phi, spec)
                 worst_norm = max(worst_norm, abs(abs(c.a) ** 2 + abs(c.b) ** 2 - 1.0))
                 worst_overlap = max(worst_overlap, abs((np.conj(c.a) * c.b).real))
-                m = amplitude_operator(c, gates)
-                expected = np.exp(1j * phi) * expm(1j * theta * gates.z_gate)
+                m = amplitude_operator(c)
+                expected = np.exp(1j * phi) * expm(1j * theta * spec.z_gate)
                 worst_matrix = max(worst_matrix, float(np.abs(m - expected).max()))
     report(
         "6 (unitary parameterization, 64-point grid per channel)",
@@ -224,12 +222,11 @@ def test_criterion_7_block_encoding():
         eye = np.eye(2 * n * n)
         for kind in (Channel.S, Channel.T):
             spec = ChannelSpec(kind, n)
-            gates = build_gates(spec)
             for a, b in random_pairs(rng, 50):
                 coeffs = AmplitudeCoefficients(spec, a, b)
                 plan = plan_encoding(coeffs)
-                w = build_w(plan, gates)
-                m = amplitude_operator(coeffs, gates)
+                w = build_w(plan)
+                m = amplitude_operator(coeffs)
                 # the dense W and the library's 2x2 report must both hold
                 encoded = verify_block(plan, coeffs, 1e-12)
                 d = n * n
@@ -239,7 +236,7 @@ def test_criterion_7_block_encoding():
                                       encoded.w_unitarity_deviation)
                 psi = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
                 psi /= np.linalg.norm(psi)
-                result = apply_with_postselection(plan, gates, psi)
+                result = apply_with_postselection(plan, psi)
                 oracle = float(np.linalg.norm(m @ psi) ** 2 / plan.alpha ** 2)
                 worst_probability = max(worst_probability, abs(result.success_probability - oracle))
                 circuit_gates = export_circuit(plan)["gates"]

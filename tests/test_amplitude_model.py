@@ -16,7 +16,6 @@ from sun_gates.amplitude_model import (
     unitary_parameterization,
 )
 from sun_gates.invariant_channels import (
-    build_gates,
     build_projectors,
     crossing_map,
     s_channel,
@@ -29,35 +28,28 @@ coefficients = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infini
 
 def setup_channel(n, kind="s"):
     spec = s_channel(n) if kind == "s" else t_channel(n)
-    return spec, build_projectors(spec), build_gates(spec)
+    return spec, build_projectors(spec)
 
 
 def test_amplitude_operator_basic_cases():
-    spec, _, gates = setup_channel(2)
-    one = amplitude_operator(AmplitudeCoefficients(spec, 1.0, 0.0), gates)
+    spec, _ = setup_channel(2)
+    one = amplitude_operator(AmplitudeCoefficients(spec, 1.0, 0.0))
     np.testing.assert_allclose(one, np.eye(4), atol=1e-15)
-    swap = amplitude_operator(AmplitudeCoefficients(spec, 0.0, 1.0), gates)
-    np.testing.assert_allclose(swap, gates.z_gate, atol=1e-15)
+    swap = amplitude_operator(AmplitudeCoefficients(spec, 0.0, 1.0))
+    np.testing.assert_allclose(swap, spec.z_gate, atol=1e-15)
 
 
 def test_amplitude_operator_linear_combination_t_channel():
-    spec, _, gates = setup_channel(3, "t")
-    m = amplitude_operator(AmplitudeCoefficients(spec, 1j, 2.0), gates)
-    np.testing.assert_allclose(m, 1j * np.eye(9) + 2.0 * gates.z_gate, atol=1e-14)
-
-
-def test_amplitude_operator_channel_mismatch():
-    spec, _, _ = setup_channel(2)
-    _, _, t_gates = setup_channel(2, "t")
-    with pytest.raises(ValueError):
-        amplitude_operator(AmplitudeCoefficients(spec, 1.0, 0.0), t_gates)
+    spec, _ = setup_channel(3, "t")
+    m = amplitude_operator(AmplitudeCoefficients(spec, 1j, 2.0))
+    np.testing.assert_allclose(m, 1j * np.eye(9) + 2.0 * spec.z_gate, atol=1e-14)
 
 
 def test_scalar_amplitudes_reference_points():
-    spec, projs, gates = setup_channel(3)
-    mp, mm = scalar_amplitudes(gates.s_identity, projs)
+    spec, projs = setup_channel(3)
+    mp, mm = scalar_amplitudes(spec.s_identity, projs)
     assert abs(mp - 1.0) < 1e-12 and abs(mm - 1.0) < 1e-12
-    mp, mm = scalar_amplitudes(gates.z_gate, projs)
+    mp, mm = scalar_amplitudes(spec.z_gate, projs)
     assert abs(mp - 1.0) < 1e-12 and abs(mm + 1.0) < 1e-12
     mp, mm = scalar_amplitudes(3.0 * projs.p_plus, projs)
     assert abs(mp - 3.0) < 1e-12 and abs(mm) < 1e-12
@@ -66,18 +58,18 @@ def test_scalar_amplitudes_reference_points():
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("kind", ["s", "t"])
 def test_scalar_amplitudes_recover_coefficients(n, kind):
-    spec, projs, gates = setup_channel(n, kind)
+    spec, projs = setup_channel(n, kind)
     rng = np.random.default_rng(100 * n + (kind == "t"))
     for _ in range(20):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        m = amplitude_operator(AmplitudeCoefficients(spec, a, b), gates)
+        m = amplitude_operator(AmplitudeCoefficients(spec, a, b))
         mp, mm = scalar_amplitudes(m, projs)
         assert abs(mp - (a + b)) <= 1e-12
         assert abs(mm - (a - b)) <= 1e-12
 
 
 def test_invariance_residual_cases():
-    spec, projs, gates = setup_channel(2)
+    spec, projs = setup_channel(2)
     exact = 2.0 * projs.p_plus - 5.0 * projs.p_minus
     assert invariance_residual(exact, projs) <= 1e-14
     gens = build_generators(2)
@@ -85,7 +77,7 @@ def test_invariance_residual_cases():
     assert invariance_residual(tilted, projs) > 0.1
     rng = np.random.default_rng(8)
     a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-    m = amplitude_operator(AmplitudeCoefficients(spec, a, b), gates)
+    m = amplitude_operator(AmplitudeCoefficients(spec, a, b))
     assert invariance_residual(m, projs) <= 1e-12
 
 
@@ -110,39 +102,37 @@ def test_cross_coefficients_round_trip(n, a, b):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_crossing_operator_consistency(n):
-    s_gates = build_gates(s_channel(n))
-    t_gates = build_gates(t_channel(n))
     rng = np.random.default_rng(7 * n)
     for _ in range(10):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         coeffs = AmplitudeCoefficients(s_channel(n), a, b)
-        m_s = amplitude_operator(coeffs, s_gates)
-        m_t = amplitude_operator(cross_coefficients(coeffs), t_gates)
+        m_s = amplitude_operator(coeffs)
+        m_t = amplitude_operator(cross_coefficients(coeffs))
         assert np.abs(crossing_map(m_s) - m_t).max() <= 1e-12
 
 
 def test_unitary_parameterization_reference_points():
-    spec, _, gates = setup_channel(2)
-    c = unitary_parameterization(0.0, 0.0, gates)
+    spec, _ = setup_channel(2)
+    c = unitary_parameterization(0.0, 0.0, spec)
     assert c.a == 1.0 and c.b == 0.0
-    c = unitary_parameterization(np.pi / 2, 0.0, gates)
+    c = unitary_parameterization(np.pi / 2, 0.0, spec)
     assert abs(c.a) <= 1e-15
     assert abs(c.b - 1j) <= 1e-15
 
 
 def test_unitary_parameterization_matches_matrix_exponential():
-    _, _, gates = setup_channel(3, "t")
+    spec, _ = setup_channel(3, "t")
     theta, phi = np.pi / 3, np.pi / 7
-    c = unitary_parameterization(theta, phi, gates)
-    m = amplitude_operator(c, gates)
-    expected = np.exp(1j * phi) * expm(1j * theta * gates.z_gate)
+    c = unitary_parameterization(theta, phi, spec)
+    m = amplitude_operator(c)
+    expected = np.exp(1j * phi) * expm(1j * theta * spec.z_gate)
     assert np.abs(m - expected).max() <= 1e-10
 
 
 def test_unitary_parameterization_eigenvalues():
-    _, _, gates = setup_channel(2, "t")
+    spec, _ = setup_channel(2, "t")
     theta, phi = 0.9, -0.4
-    m = amplitude_operator(unitary_parameterization(theta, phi, gates), gates)
+    m = amplitude_operator(unitary_parameterization(theta, phi, spec))
     evals = np.sort_complex(np.linalg.eigvals(m))
     expected = np.sort_complex(np.array(
         [np.exp(1j * (phi + theta))] + [np.exp(1j * (phi - theta))] * 3
@@ -155,11 +145,11 @@ def test_unitary_parameterization_eigenvalues():
     phi=st.floats(min_value=-7.0, max_value=7.0),
 )
 def test_unitary_parameterization_invariants(theta, phi):
-    _, _, gates = setup_channel(2)
-    c = unitary_parameterization(theta, phi, gates)
+    spec, _ = setup_channel(2)
+    c = unitary_parameterization(theta, phi, spec)
     assert abs(abs(c.a) ** 2 + abs(c.b) ** 2 - 1.0) <= 1e-14
     assert abs((np.conj(c.a) * c.b).real) <= 1e-14
-    m = amplitude_operator(c, gates)
+    m = amplitude_operator(c)
     assert np.abs(m.conj().T @ m - np.eye(4)).max() <= 1e-10
 
 
@@ -206,10 +196,10 @@ def test_partial_wave_flags_match_arithmetic(re_a, im_a, re_b, im_b, kappa):
 def test_unitary_sectors_always_saturate():
     # a sector built from the boundary parameterization has norm one, so the
     # elastic-saturation flag must fire for every (theta, phi)
-    _, _, gates = setup_channel(3, "t")
+    spec, _ = setup_channel(3, "t")
     for theta in np.linspace(0.0, 2 * np.pi, 9):
         for phi in np.linspace(-np.pi, np.pi, 5):
-            c = unitary_parameterization(theta, phi, gates)
+            c = unitary_parameterization(theta, phi, spec)
             sector = PartialWaveSector(j=0, a_j=c.a, b_j=c.b, kappa_j=1.0)
             assert check_partial_wave(sector).elastic_saturation
 

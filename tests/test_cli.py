@@ -12,14 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sun_gates.cli import (
-    MAX_DIMENSION,
-    MAX_ENCODE_DIMENSION,
-    MAX_VERIFY_DIMENSION,
-    build_parser,
-    main,
-    parse_complex,
-)
+from sun_gates.cli import DIMENSION_LIMITS, build_parser, main, parse_complex
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -416,8 +409,7 @@ def test_disk_resolution_above_limit_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["generators", "verify", "encode", "cross"])
 def test_dimension_above_limit_is_usage_error(tmp_path, capsys, command):
     # never test a dimension that would allocate: the limit is checked while parsing
-    limit = {"generators": MAX_DIMENSION, "verify": MAX_VERIFY_DIMENSION,
-             "encode": MAX_ENCODE_DIMENSION, "cross": MAX_DIMENSION}[command]
+    limit = {"generators": 32, "verify": 16, "encode": 64, "cross": 32}[command]
     coefficients = ["--a", "1,0", "--b", "0,0"] if command in ("encode", "cross") else []
     code, text = run(tmp_path, command, "--n", str(limit + 1), *coefficients)
     err = capsys.readouterr().err
@@ -427,16 +419,17 @@ def test_dimension_above_limit_is_usage_error(tmp_path, capsys, command):
 
 
 def test_verify_dimension_above_its_limit_is_usage_error(tmp_path, capsys):
-    # verify alone stops below MAX_DIMENSION; only the parser runs, never an identity suite
-    code, text = run(tmp_path, "verify", "--n", str(MAX_VERIFY_DIMENSION + 1))
+    # verify alone stops below 32; only the parser runs, never an identity suite
+    limit = DIMENSION_LIMITS["verify"]
+    code, text = run(tmp_path, "verify", "--n", str(limit + 1))
     captured = capsys.readouterr()
     assert code == 2
     assert text == "" and captured.out == ""
-    assert "--n" in captured.err and f"'{MAX_VERIFY_DIMENSION + 1}'" in captured.err
-    assert f"at most {MAX_VERIFY_DIMENSION}" in captured.err
-    assert build_parser().parse_args(["verify", "--n", str(MAX_VERIFY_DIMENSION)]).n == MAX_VERIFY_DIMENSION
-    encode = build_parser().parse_args(["encode", "--n", str(MAX_DIMENSION), "--a", "1,0", "--b", "0,0"])
-    assert encode.n == MAX_DIMENSION
+    assert "--n" in captured.err and f"'{limit + 1}'" in captured.err
+    assert f"at most {limit}" in captured.err
+    assert build_parser().parse_args(["verify", "--n", str(limit)]).n == limit
+    encode = build_parser().parse_args(["encode", "--n", "32", "--a", "1,0", "--b", "0,0"])
+    assert encode.n == 32
 
 
 def test_readme_command_table_matches_the_parser(capsys):
@@ -487,11 +480,11 @@ def test_coefficient_commands_build_no_generators(tmp_path, monkeypatch, command
 
 
 def test_verify_builds_each_channel_once(tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, "build_generators", "build_projectors", "build_gates")
+    calls = count_calls(monkeypatch, "build_generators", "build_projectors")
     code, data = run_json(tmp_path, "verify", "--n", "3")
     assert code == 0
     assert data["all_passed"]
-    assert calls == {"build_generators": 1, "build_projectors": 2, "build_gates": 2}
+    assert calls == {"build_generators": 1, "build_projectors": 2}
 
 
 def test_negative_seed_is_usage_error(tmp_path, capsys):
@@ -532,7 +525,7 @@ def swap_or_parity(psi, n, channel):
 
 @pytest.mark.parametrize("channel", ["s", "t"])
 def test_encode_at_dimension_cap(tmp_path, channel):
-    n = MAX_ENCODE_DIMENSION
+    n = DIMENSION_LIMITS["encode"]
     rng = np.random.default_rng(32)
     psi = rng.normal(size=n * n)
     psi /= np.linalg.norm(psi)
@@ -566,7 +559,7 @@ def test_encode_holds_at_most_three_dense_arrays(tmp_path):
 @pytest.mark.parametrize("channel", ["s", "t"])
 def test_encode_at_its_cap_allocates_no_dense_array(tmp_path, channel):
     # Z acts on psi in O(N^2): the whole run stays below 1% of one N^2 x N^2 complex array
-    n = MAX_ENCODE_DIMENSION
+    n = DIMENSION_LIMITS["encode"]
     psi = np.full(n * n, 1.0 / n)
     dense_bytes = (n * n) ** 2 * np.dtype(complex).itemsize
     argv = ["encode", "--n", str(n), "--channel", channel, "--a=0.4,-0.3", "--b=-0.2,0.9",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import product
 
@@ -10,7 +11,6 @@ from sun_gates.invariant_channels import (
     CROSSING_AXES,
     Channel,
     ChannelSpec,
-    build_gates,
     build_projectors,
     charge_parity_bilinear,
     crossing_map,
@@ -45,6 +45,25 @@ def test_channel_spec_validation():
         ChannelSpec(Channel.S, 1)
     with pytest.raises(TypeError):
         ChannelSpec("s", 3)
+    # Z's construction indexes by N, so a float N fails here, not deep in z_gate or apply_z
+    for bad in (3.0, np.float64(3.0), "3", None):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            ChannelSpec(Channel.T, bad)
+    assert ChannelSpec(Channel.T, np.int64(3)).apply_z(np.ones(9)).shape == (9,)
+
+
+@pytest.mark.parametrize("kind", [Channel.S, Channel.T])
+def test_channel_spec_stays_a_value(kind):
+    # the cached Z is no field: reading it on one spec leaves equality, hash, dict lookup and repr alone
+    read, unread = ChannelSpec(kind, 3), ChannelSpec(kind, 3)
+    z = read.z_gate
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert {unread: "spec"}[read] == "spec" and len({read, unread}) == 1
+    assert read.z_gate is z and not z.flags.writeable
+    with pytest.raises(AttributeError):
+        read.z_gate = np.eye(9)
+    with pytest.raises(ValueError):
+        z[0, 0] = 2.0
 
 
 def test_projector_traces_small_cases():
@@ -87,18 +106,18 @@ def test_index_form_matches_generator_form(n, kind):
 
 
 def test_swap_gate_is_the_permutation_matrix():
-    gates = build_gates(s_channel(2))
-    np.testing.assert_array_equal(gates.z_gate, SWAP_2)
+    spec = s_channel(2)
+    np.testing.assert_array_equal(spec.z_gate, SWAP_2)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_swap_gate_acts_entrywise(n):
-    gates = build_gates(s_channel(n))
+    spec = s_channel(n)
     for i in range(n):
         for j in range(n):
             ket = np.zeros(n * n, dtype=complex)
             ket[i * n + j] = 1.0
-            out = gates.z_gate @ ket
+            out = spec.z_gate @ ket
             expected = np.zeros(n * n, dtype=complex)
             expected[j * n + i] = 1.0
             assert np.abs(out - expected).max() <= 1e-14
@@ -107,22 +126,22 @@ def test_swap_gate_acts_entrywise(n):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", [Channel.S, Channel.T])
 def test_gate_set_invariants(n, kind):
-    gates = build_gates(ChannelSpec(kind, n))
-    z = gates.z_gate
+    spec = ChannelSpec(kind, n)
+    z = spec.z_gate
     eye = np.eye(n * n)
-    assert np.abs(gates.s_identity - eye).max() <= 1e-12
+    assert np.abs(spec.s_identity - eye).max() <= 1e-12
     assert np.abs(z.conj().T @ z - eye).max() <= 1e-12
-    assert np.abs(z @ z - gates.s_identity).max() <= 1e-12
+    assert np.abs(z @ z - spec.s_identity).max() <= 1e-12
     assert np.abs(z - z.conj().T).max() <= 1e-12
     # two-element group closure
-    assert np.abs(gates.s_identity @ z - z).max() <= 1e-12
-    assert np.abs(z @ gates.s_identity - z).max() <= 1e-12
+    assert np.abs(spec.s_identity @ z - z).max() <= 1e-12
+    assert np.abs(z @ spec.s_identity - z).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_charge_parity_spectrum(n):
-    gates = build_gates(t_channel(n))
-    evals = np.sort(np.linalg.eigvalsh(gates.z_gate))
+    spec = t_channel(n)
+    evals = np.sort(np.linalg.eigvalsh(spec.z_gate))
     assert np.abs(evals[:-1] + 1.0).max() <= 1e-10
     assert abs(evals[-1] - 1.0) <= 1e-10
     # multiplicities separated by a gap much wider than 1e-6
@@ -140,21 +159,21 @@ def test_singlet_state_properties(n):
     psi = singlet_state(n)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
     projs = build_projectors(t_channel(n))
-    gates = build_gates(t_channel(n))
-    assert np.abs(gates.z_gate @ psi - psi).max() <= 1e-12
+    spec = t_channel(n)
+    assert np.abs(spec.z_gate @ psi - psi).max() <= 1e-12
     assert np.abs(projs.p_plus @ psi - psi).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orthogonal_complement_has_eigenvalue_minus_one(n):
     projs = build_projectors(t_channel(n))
-    gates = build_gates(t_channel(n))
+    spec = t_channel(n)
     rng = np.random.default_rng(42 + n)
     for _ in range(5):
         vec = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
         vec = projs.p_minus @ vec
         vec /= np.linalg.norm(vec)
-        assert np.abs(gates.z_gate @ vec + vec).max() <= 1e-12
+        assert np.abs(spec.z_gate @ vec + vec).max() <= 1e-12
 
 
 def test_charge_parity_bilinear_eigenvalues_n2():
@@ -183,9 +202,9 @@ def test_bilinears_match_kronecker_sums(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exponential_form_matches_gate_up_to_phase(n):
     gens = build_generators(n)
-    gates = build_gates(t_channel(n))
+    spec = t_channel(n)
     u_exp = u_exponential_form(gens)
-    overlap = abs(np.einsum("ij,ij", gates.z_gate.conj(), u_exp)) / (n * n)
+    overlap = abs(np.einsum("ij,ij", spec.z_gate.conj(), u_exp)) / (n * n)
     assert overlap >= 1.0 - 1e-8
 
 
@@ -209,13 +228,13 @@ def test_exponential_form_rejects_three_eigenvalue_clusters():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_crossing_rows(n):
-    s_gates = build_gates(s_channel(n))
-    t_gates = build_gates(t_channel(n))
+    s_spec = s_channel(n)
+    t_spec = t_channel(n)
     projs = build_projectors(t_channel(n))
     eye = np.eye(n * n)
-    crossed_identity = crossing_map(s_gates.s_identity)
-    crossed_swap = crossing_map(s_gates.z_gate)
-    assert np.abs(crossed_identity - (n / 2.0) * (eye + t_gates.z_gate)).max() <= 1e-12
+    crossed_identity = crossing_map(s_spec.s_identity)
+    crossed_swap = crossing_map(s_spec.z_gate)
+    assert np.abs(crossed_identity - (n / 2.0) * (eye + t_spec.z_gate)).max() <= 1e-12
     assert np.abs(crossed_identity - n * projs.p_plus).max() <= 1e-12
     assert np.abs(crossed_swap - eye).max() <= 1e-12
 
@@ -269,16 +288,16 @@ def test_constructions_match_index_loops(n):
         crossed[a * n + b, c * n + e] = op[a * n + e, b * n + c]
     assert np.array_equal(crossing_map(op), crossed)
 
-    s_gates, t_gates = build_gates(s_channel(n)), build_gates(t_channel(n))
+    s_spec, t_spec = s_channel(n), t_channel(n)
     eye = np.eye(d, dtype=complex)
     # Z is the projector difference; the closed-form t-channel diagonal may round in another order
-    assert not s_gates.z_gate.flags.writeable and not t_gates.z_gate.flags.writeable
-    assert np.array_equal(s_gates.z_gate, s_plus - s_minus)
-    assert np.abs(t_gates.z_gate - (t_plus - t_minus)).max() <= 1e-15
-    assert np.array_equal(s_gates.s_identity, eye) and np.array_equal(t_gates.s_identity, eye)
-    inline = (np.abs(crossing_map(s_gates.s_identity) - (n / 2.0) * (eye + t_gates.z_gate)).max(),
-              np.abs(crossing_map(s_gates.z_gate) - eye).max())
-    assert np.array_equal(crossing_row_deviations(s_gates, t_gates), inline)
+    assert not s_spec.z_gate.flags.writeable and not t_spec.z_gate.flags.writeable
+    assert np.array_equal(s_spec.z_gate, s_plus - s_minus)
+    assert np.abs(t_spec.z_gate - (t_plus - t_minus)).max() <= 1e-15
+    assert np.array_equal(s_spec.s_identity, eye) and np.array_equal(t_spec.s_identity, eye)
+    inline = (np.abs(crossing_map(s_spec.s_identity) - (n / 2.0) * (eye + t_spec.z_gate)).max(),
+              np.abs(crossing_map(s_spec.z_gate) - eye).max())
+    assert np.array_equal(crossing_row_deviations(s_spec, t_spec), inline)
 
 
 complex_entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -288,11 +307,11 @@ complex_entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_i
 @given(data=st.data(), n=st.integers(2, 8), kind=st.sampled_from([Channel.S, Channel.T]))
 def test_apply_z_matches_dense_z(data, n, kind):
     # the O(N^2) action is pinned to the dense oracle: Z psi and the involution Z Z psi = psi
-    gates = build_gates(ChannelSpec(kind, n))
+    spec = ChannelSpec(kind, n)
     psi = np.array(data.draw(st.lists(complex_entries, min_size=n * n, max_size=n * n)), dtype=complex)
-    z_psi = gates.apply_z(psi)
-    assert np.abs(z_psi - gates.z_gate @ psi).max() <= 1e-12
-    assert np.abs(gates.apply_z(z_psi) - psi).max() <= 1e-12
+    z_psi = spec.apply_z(psi)
+    assert np.abs(z_psi - spec.z_gate @ psi).max() <= 1e-12
+    assert np.abs(spec.apply_z(z_psi) - psi).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", [Channel.S, Channel.T])
@@ -300,26 +319,26 @@ def test_apply_z_matches_dense_z(data, n, kind):
 def test_apply_z_rejects_wrong_shape(kind, shape):
     # the t-channel strided index would otherwise accept any length
     with pytest.raises(ValueError, match="shape"):
-        build_gates(ChannelSpec(kind, 3)).apply_z(np.ones(shape, dtype=complex))
+        ChannelSpec(kind, 3).apply_z(np.ones(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("kind", [Channel.S, Channel.T])
-def test_build_gates_allocates_no_dense_array_until_z_gate_is_read(kind):
+def test_channel_spec_allocates_no_dense_array_until_z_gate_is_read(kind):
     n = 32
     dense_bytes = (n * n) ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        gates = build_gates(ChannelSpec(kind, n))
-        gates.apply_z(np.ones(n * n, dtype=complex))
+        spec = ChannelSpec(kind, n)
+        spec.apply_z(np.ones(n * n, dtype=complex))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        z = gates.z_gate
+        z = spec.z_gate
         _, dense_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 100, peak / dense_bytes
     # read once, built once
-    assert dense_peak >= dense_bytes and gates.z_gate is z
+    assert dense_peak >= dense_bytes and spec.z_gate is z
 
 
 def test_generator_form_projectors_dimension_mismatch():

@@ -3,7 +3,6 @@ import pytest
 
 from sun_gates.sun_algebra import (
     GeneratorSet,
-    _fierz_tensor,
     build_generators,
     hermiticity_deviation,
     orthonormality_deviation,
@@ -93,10 +92,11 @@ def test_completeness_explicit_index_loop(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_fierz_tensor_matches_einsum(n):
-    # G^T G equals the generator einsum it replaces in the completeness check
+    # G^T G equals the generator einsum it replaces in the completeness check; built once, read-only
     gens = build_generators(n)
     lhs = np.einsum("aij,akl->ijkl", gens.generators, gens.generators)
-    assert np.abs(_fierz_tensor(gens).reshape(n, n, n, n) - lhs).max() <= 1e-14
+    assert np.abs(gens.fierz.reshape(n, n, n, n) - lhs).max() <= 1e-14
+    assert gens.fierz is gens.fierz and not gens.fierz.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(2, 9))
