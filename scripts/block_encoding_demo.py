@@ -21,9 +21,11 @@ from sun_gates.lcu_encoder import apply_with_postselection, export_circuit, plan
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    # the CLI's converters, so a bad value exits 2 with the CLI's message; cross's limit,
-    # since the direct check below reads the dense N^2 x N^2 Z
-    parser.add_argument("--n", type=_dimension_up_to(DIMENSION_LIMITS["cross"]), default=3)
+    # the CLI's converters, so a bad value exits 2 with the CLI's message
+    limit = DIMENSION_LIMITS["generators"]
+    parser.add_argument("--n", type=_dimension_up_to(limit), default=3,
+                        help=f"qudit dimension, 2 to {limit}: the limit of the CLI commands that hold dense "
+                             "N^2 x N^2 arrays, since the direct postselection check reads the dense Z")
     parser.add_argument("--channel", choices=["s", "t"], default="t")
     parser.add_argument("--seed", type=_seed, default=1)
     args = parser.parse_args()

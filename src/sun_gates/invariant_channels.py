@@ -85,6 +85,8 @@ class ChannelSpec:
             raise TypeError(f"kind must be a Channel, got {self.kind!r}")
         if not isinstance(self.n, numbers.Integral):
             raise TypeError(f"qudit dimension must be an integer, got {self.n!r}")
+        # a numpy integer N becomes a Python int, so every payload built from the spec is JSON-ready
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 2:
             raise ValueError(f"qudit dimension must be at least 2, got {self.n}")
 

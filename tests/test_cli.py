@@ -1,7 +1,9 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sun_gates import cli
+from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
 from sun_gates.cli import DIMENSION_LIMITS, build_parser, main, parse_complex
+from sun_gates.invariant_channels import Channel, ChannelSpec, crossing_map
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -333,8 +338,11 @@ def test_tolerance_flag_wins_over_invalid_env(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["partial-wave", "{sectors}"],
     ["cross", "--n", "2", "--a=1e308,1e308", "--b=1e308,0"],
+    # crossed coefficients of inf + nan j and of -inf: numpy raised on neither, and the JSON writer on the second
+    ["cross", "--n", "32", "--a=1e308,0", "--b=0,0"],
+    ["cross", "--n", "4", "--channel", "t", "--a=1e307,0", "--b=-1e308,0"],
     ["encode", "--n", "2", "--a=1e308,0", "--b=1e308,0"],
-], ids=["partial-wave", "cross", "encode"])
+], ids=["partial-wave", "cross", "cross-nan", "cross-inf", "encode"])
 def test_overflow_exits_2(tmp_path, capsys, args):
     sectors = tmp_path / "sectors.csv"
     sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n0,1e200,0,0,0,1\n")
@@ -409,7 +417,7 @@ def test_disk_resolution_above_limit_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["generators", "verify", "encode", "cross"])
 def test_dimension_above_limit_is_usage_error(tmp_path, capsys, command):
     # never test a dimension that would allocate: the limit is checked while parsing
-    limit = {"generators": 32, "verify": 16, "encode": 64, "cross": 32}[command]
+    limit = {"generators": 32, "verify": 16, "encode": 64, "cross": 64}[command]
     coefficients = ["--a", "1,0", "--b", "0,0"] if command in ("encode", "cross") else []
     code, text = run(tmp_path, command, "--n", str(limit + 1), *coefficients)
     err = capsys.readouterr().err
@@ -481,10 +489,31 @@ def test_coefficient_commands_build_no_generators(tmp_path, monkeypatch, command
 
 def test_verify_builds_each_channel_once(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, "build_generators", "build_projectors")
-    code, data = run_json(tmp_path, "verify", "--n", "3")
+    # the crossing check reads no dense Z, so each channel's z_gate is built once, for the gate checks
+    z_gate, built = ChannelSpec.__dict__["z_gate"], Counter()
+
+    def counted(spec, build=z_gate.func):
+        built[spec.kind.value] += 1
+        return build(spec)
+    monkeypatch.setattr(z_gate, "func", counted)
+    code, data = run_json(tmp_path, "verify", "--n", "8")
     assert code == 0
     assert data["all_passed"]
     assert calls == {"build_generators": 1, "build_projectors": 2}
+    assert built == {"s": 1, "t": 1}
+
+
+def test_verify_leaves_numpy_random_unimported(tmp_path):
+    # pytest has imported numpy.random already, so verify runs in a fresh interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; from sun_gates.cli import main; "
+              f"print(main(['verify', '--n', '3', '--output', {str(tmp_path / 'out.json')!r}]), "
+              "'numpy.random' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
 
 
 def test_negative_seed_is_usage_error(tmp_path, capsys):
@@ -509,10 +538,17 @@ def test_json_floats_round_trip_exactly(tmp_path):
     assert data["circuit"]["gates"][0]["theta"] == 2.0 * plan.gamma
 
 
-def test_verify_is_deterministic_given_seed(tmp_path):
+def test_verify_is_deterministic_given_seed(tmp_path, monkeypatch):
     code1, data1 = run_json(tmp_path, "verify", "--n", "3", "--seed", "11")
     code2, data2 = run_json(tmp_path, "verify", "--n", "3", "--seed", "11")
     assert (code1, data1) == (code2, data2)
+    # the seed reaches the round-trip operator: one seed draws one operator, another a different one
+    ops = []
+    monkeypatch.setattr(cli, "decompose", lambda op, gens, decompose=cli.decompose: ops.append(op) or decompose(op, gens))
+    for seed in ("11", "11", "12"):
+        assert run_json(tmp_path, "verify", "--n", "3", "--seed", seed)[0] == 0
+    assert np.array_equal(ops[0], ops[1]) and not np.array_equal(ops[0], ops[2])
+    assert all(-1.0 <= part.min() and part.max() < 1.0 for op in ops for part in (op.real, op.imag))
 
 
 def swap_or_parity(psi, n, channel):
@@ -571,4 +607,41 @@ def test_encode_at_its_cap_allocates_no_dense_array(tmp_path, channel):
     finally:
         tracemalloc.stop()
     assert code == 0
+    assert peak < dense_bytes / 100, peak / dense_bytes
+
+
+coefficient = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 8), kind=st.sampled_from(list(Channel)), a=coefficient, b=coefficient,
+       other=st.tuples(coefficient, coefficient))
+def test_crossing_deviation_matches_the_dense_operators(n, kind, a, b, other):
+    # the dense crossing_map(M_s) - M_t over all N^4 entries is the oracle of the support-based check
+    def dense(s_coeffs, t_coeffs):
+        return np.abs(crossing_map(amplitude_operator(s_coeffs)) - amplitude_operator(t_coeffs)).max()
+
+    coeffs = AmplitudeCoefficients(ChannelSpec(kind, n), a, b)
+    crossed, _, deviation = cli._crossing_deviations(coeffs)
+    s_coeffs, t_coeffs = (coeffs, crossed) if kind is Channel.S else (crossed, coeffs)
+    assert abs(deviation - dense(s_coeffs, t_coeffs)) <= 1e-15
+    # an unrelated t-channel pair leaves O(1) entries on both supports, so each entry is pinned, not only a zero
+    unrelated = AmplitudeCoefficients(t_coeffs.channel, *other)
+    expected = dense(s_coeffs, unrelated)
+    assert abs(cli._crossing_operator_deviation(s_coeffs, unrelated) - expected) <= 1e-15 * max(1.0, expected)
+
+
+@pytest.mark.parametrize("channel", ["s", "t"])
+def test_cross_at_its_cap_allocates_no_dense_array(tmp_path, channel):
+    # the crossing is checked on the O(N^2) nonzero entries: the run stays below 1% of one N^2 x N^2 complex array
+    n = DIMENSION_LIMITS["cross"]
+    dense_bytes = (n * n) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        code, text = run(tmp_path, "cross", "--n", str(n), "--channel", channel, "--a=0.4,-0.3", "--b=-0.2,0.9")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert _strict_json(text)["all_passed"]
     assert peak < dense_bytes / 100, peak / dense_bytes

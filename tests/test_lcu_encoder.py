@@ -324,6 +324,14 @@ def test_circuit_json_schema_fields():
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_circuit_of_a_numpy_integer_dimension_is_json_ready():
+    # ChannelSpec keeps N as a Python int, so the circuit dict goes through json.dumps as it is
+    spec = channel_setup(np.int64(2))
+    payload = export_circuit(plan_encoding(AmplitudeCoefficients(spec, 1, 0)))
+    assert type(payload["n"]) is int
+    assert json.loads(json.dumps(payload)) == payload
+
+
 def test_circuit_round_trip_rebuilds_w():
     # the emitted JSON alone (thetas, phases, control values) determines W; no plan field is read
     spec = channel_setup(3, "t")
