@@ -23,17 +23,15 @@ from .invariant_channels import (
     CROSSING_AXES,
     Channel,
     ChannelSpec,
-    ProjectorSet,
     build_projectors,
     charge_parity_bilinear,
     crossing_map,
+    crossing_operator_deviation,
     crossing_row_deviations,
     generator_form_projectors,
-    s_channel,
     select_crossing_axes,
     singlet_state,
     swap_matrix,
-    t_channel,
     u_exponential_form,
 )
 from .lcu_encoder import (

@@ -5,22 +5,19 @@ the channel's two gates, so coefficients (a, b) and their ``ChannelSpec`` are
 the whole amplitude.  This module projects operators onto the channel
 scalars, transforms coefficients between channels under crossing, realizes the
 unitary boundary of the coefficient disk, and checks the per-partial-wave
-unitarity bound |a_J|^2 + |b_J|^2 <= 1.
+unitarity bound |a_J|^2 + |b_J|^2 <= 1.  The channel scalars read the pair
+(p_plus, p_minus) of ``build_projectors``; a crossed coefficient that
+overflows to inf or nan raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .invariant_channels import (
-    Channel,
-    ChannelSpec,
-    ProjectorSet,
-    s_channel,
-    t_channel,
-)
+from .invariant_channels import Channel, ChannelSpec
 from .sun_algebra import DEFAULT_TOLERANCE
 
 
@@ -38,27 +35,29 @@ def amplitude_operator(coeffs: AmplitudeCoefficients) -> np.ndarray:
     return coeffs.a * coeffs.channel.s_identity + coeffs.b * coeffs.channel.z_gate
 
 
-def scalar_amplitudes(m: np.ndarray, projs: ProjectorSet) -> tuple[complex, complex]:
-    """Channel scalars M_R = Tr(M P_R) / Tr(P_R) for both projectors.
+def scalar_amplitudes(m: np.ndarray, projs: tuple[np.ndarray, np.ndarray]) -> tuple[complex, complex]:
+    """Channel scalars M_R = Tr(M P_R) / Tr(P_R) for both projectors of the pair (p_plus, p_minus).
 
     For M = a * identity + b * Z this returns (a + b, a - b).
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != projs.p_plus.shape:
-        raise ValueError(f"operator shape {m.shape} does not match projector shape {projs.p_plus.shape}")
-    m_plus = complex(np.einsum("ij,ji", m, projs.p_plus)) / np.trace(projs.p_plus).real
-    m_minus = complex(np.einsum("ij,ji", m, projs.p_minus)) / np.trace(projs.p_minus).real
+    p_plus, p_minus = projs
+    if m.shape != p_plus.shape:
+        raise ValueError(f"operator shape {m.shape} does not match projector shape {p_plus.shape}")
+    m_plus = complex(np.einsum("ij,ji", m, p_plus)) / np.trace(p_plus).real
+    m_minus = complex(np.einsum("ij,ji", m, p_minus)) / np.trace(p_minus).real
     return m_plus, m_minus
 
 
-def invariance_residual(m: np.ndarray, projs: ProjectorSet) -> float:
+def invariance_residual(m: np.ndarray, projs: tuple[np.ndarray, np.ndarray]) -> float:
     """Max-norm distance of M from its diagonal projector decomposition.
 
     Zero exactly when M is invariant in this channel, i.e. lies in the span of
     the two projectors.
     """
+    p_plus, p_minus = projs
     m_plus, m_minus = scalar_amplitudes(m, projs)
-    return float(np.abs(m - (m_plus * projs.p_plus + m_minus * projs.p_minus)).max())
+    return float(np.abs(m - (m_plus * p_plus + m_minus * p_minus)).max())
 
 
 def cross_coefficients(coeffs: AmplitudeCoefficients) -> AmplitudeCoefficients:
@@ -70,19 +69,21 @@ def cross_coefficients(coeffs: AmplitudeCoefficients) -> AmplitudeCoefficients:
     its inverse (a, b) -> (2 b / N, a - b) in the other direction, so that
     crossing_map(amplitude_operator(s coefficients)) equals the t-channel
     amplitude of the mapped coefficients.
+
+    Raises
+    ------
+    FloatingPointError
+        If a crossed coefficient overflows to inf or nan, which Python
+        complex arithmetic does without raising.
     """
     n = coeffs.channel.n
     if coeffs.channel.kind is Channel.S:
-        return AmplitudeCoefficients(
-            channel=t_channel(n),
-            a=n * coeffs.a / 2.0 + coeffs.b,
-            b=n * coeffs.a / 2.0,
-        )
-    return AmplitudeCoefficients(
-        channel=s_channel(n),
-        a=2.0 * coeffs.b / n,
-        b=coeffs.a - coeffs.b,
-    )
+        kind, a, b = Channel.T, n * coeffs.a / 2.0 + coeffs.b, n * coeffs.a / 2.0
+    else:
+        kind, a, b = Channel.S, 2.0 * coeffs.b / n, coeffs.a - coeffs.b
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise FloatingPointError("overflow encountered in cross_coefficients")
+    return AmplitudeCoefficients(channel=ChannelSpec(kind, n), a=a, b=b)
 
 
 def unitary_parameterization(theta: float, phi: float, channel: ChannelSpec) -> AmplitudeCoefficients:

@@ -8,7 +8,8 @@ included (its message names the command and the input it was given).  Complex
 arguments use the shell-safe ``re,im`` syntax; a negative leading value needs
 the joined form (``--a=-1,0``, ``--psi=-0.5,...``).  The
 ``SUN_GATES_TOLERANCE`` environment variable supplies the tolerance; it is
-read and validated only when ``--tolerance`` is absent.
+read and validated only when ``--tolerance`` is absent.  ``cross`` and
+``verify`` check the crossing with ``invariant_channels.crossing_operator_deviation``.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .amplitude_model import (
     disk_samples,
 )
 from .invariant_channels import (
-    CROSSING_AXES,
     Channel,
     ChannelSpec,
     build_projectors,
+    crossing_operator_deviation,
     crossing_row_deviations,
     generator_form_projectors,
     u_exponential_form,
@@ -121,44 +122,14 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max())
 
 
-def _crossing_operator_deviation(s_coeffs: AmplitudeCoefficients, t_coeffs: AmplitudeCoefficients) -> float:
-    """max |crossing_map(M_s) - M_t| over all N^4 entries, read from the O(N^2) entries the two hold.
-
-    With (k, l) over all N^2 pairs, M_s = a I + b S is nonzero at the diagonal
-    (k,l,k,l) and the swap positions (l,k,k,l); M_t = a' I + b' Z_t, with
-    Z_t = (2/N)|vec I><vec I| - I, at the diagonal and the block (k,k,l,l).
-    The M_s support goes through ``CROSSING_AXES`` as ``crossing_map`` moves
-    it.  Each gate's entries are summed per flat key r N^2 + c on the union of
-    the supports, and both operators are evaluated there as a * I + b * Z, the
-    same arithmetic as the dense matrices; every other entry is 0 - 0.
-    """
-    n = s_coeffs.channel.n
-    k, l = np.divmod(np.arange(n * n), n)
-    diag, swap, block = (k, l, k, l), (l, k, k, l), (k, k, l, l)
-    crossed_diag, crossed_swap = ([x[axis] for axis in CROSSING_AXES] for x in (diag, swap))
-    # (gate, support, entry): crossed I, crossed S, then I and Z_t of the t channel
-    gate, support, entry = zip((0, crossed_diag, 1.0), (1, crossed_swap, 1.0),
-                               (2, diag, 1.0), (3, diag, -1.0), (3, block, 2.0 / n))
-    keys = np.ravel_multi_index(tuple(np.concatenate(support, axis=1)), (n,) * 4)
-    union, where = np.unique(keys, return_inverse=True)
-    weights = np.zeros((4, union.size))
-    np.add.at(weights, (np.repeat(gate, n * n), where), np.repeat(entry, n * n))
-    eye_s, swap_s, eye_t, z_t = weights
-    m_s = s_coeffs.a * eye_s + s_coeffs.b * swap_s
-    m_t = t_coeffs.a * eye_t + t_coeffs.b * z_t
-    return _max_abs(m_s - m_t)
-
-
 def _crossing_deviations(coeffs: AmplitudeCoefficients):
     """Cross ``coeffs``; return (crossed, round-trip deviation, operator-consistency deviation)."""
     crossed = cross_coefficients(coeffs)
     back = cross_coefficients(crossed)
-    if not np.isfinite([crossed.a, crossed.b, back.a, back.b]).all():
-        # Python complex arithmetic overflows to inf or nan without raising
-        raise FloatingPointError("overflow encountered in cross_coefficients")
     s_coeffs, t_coeffs = (coeffs, crossed) if coeffs.channel.kind is Channel.S else (crossed, coeffs)
     round_trip = max(abs(back.a - coeffs.a), abs(back.b - coeffs.b))
-    return crossed, round_trip, _crossing_operator_deviation(s_coeffs, t_coeffs)
+    return crossed, round_trip, crossing_operator_deviation(coeffs.channel.n, (s_coeffs.a, s_coeffs.b),
+                                                            (t_coeffs.a, t_coeffs.b))
 
 
 def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -> list[CheckResult]:
@@ -186,8 +157,7 @@ def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -
         spec = s_spec if kind is Channel.S else t_spec
         z = spec.z_gate
         # the delta-index projectors, built apart from the closed-form Z
-        projs = build_projectors(spec)
-        p_plus, p_minus = projs.p_plus, projs.p_minus
+        p_plus, p_minus = build_projectors(spec)
         if kind is Channel.S:
             trace_plus, trace_minus = n * (n + 1) / 2.0, n * (n - 1) / 2.0
         else:
@@ -260,7 +230,8 @@ def cmd_generators(args: argparse.Namespace) -> tuple[str, bool]:
         "n": args.n,
         "tolerance": args.tolerance,
         "generator_count": len(gens),
-        "generators": [[[_cplx(entry) for entry in row] for row in mat] for mat in gens],
+        # each entry as its [re, im] pair
+        "generators": gens.generators.view(np.float64).reshape(len(gens), args.n, args.n, 2).tolist(),
         **deviations,
         "all_passed": all_passed,
     }
@@ -350,12 +321,8 @@ def cmd_disk(args: argparse.Namespace) -> tuple[str, bool]:
     writer = csv.writer(buffer)
     writer.writerow(["theta", "phi", "re_a", "im_a", "re_b", "im_b", "norm_sq"])
     for r in rows:
-        writer.writerow([
-            repr(r.theta), repr(r.phi),
-            repr(r.a.real), repr(r.a.imag),
-            repr(r.b.real), repr(r.b.imag),
-            repr(r.norm_sq),
-        ])
+        # csv.writer writes each float as its repr
+        writer.writerow([r.theta, r.phi, r.a.real, r.a.imag, r.b.real, r.b.imag, r.norm_sq])
     return buffer.getvalue(), True
 
 

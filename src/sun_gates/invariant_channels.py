@@ -12,9 +12,9 @@ H_N (x) H_N:
   complement, traces 1 and N^2 - 1.  The difference P_plus - P_minus is the
   charge-parity gate, +1 on the singlet and -1 on the adjoint states.
 
-A ``ChannelSpec`` is its channel's gate pair {identity, Z} and holds neither
-as an array until one is read.  ``ChannelSpec.apply_z`` applies Z to a state
-in O(N^2): a transpose of its N x N reshape in the s-channel, the singlet
+A ``ChannelSpec(Channel.S, n)`` or ``ChannelSpec(Channel.T, n)`` is its
+channel's gate pair {identity, Z} and holds neither as an array until one is
+read.  ``ChannelSpec.apply_z`` applies Z to a state in O(N^2): a transpose of its N x N reshape in the s-channel, the singlet
 reflection 2<s|psi>|s> - psi in the t-channel.  The dense
 ``ChannelSpec.z_gate`` comes from the closed forms, ``swap_matrix`` and
 (2/N)|vec I><vec I| - I, never from ``build_projectors``, so the CLI
@@ -35,12 +35,14 @@ spectator while the remaining legs are re-paired.  It was selected empirically
 satisfying both gate relations crossed(identity) = (N/2)(identity + charge
 parity) and crossed(swap) = identity.  ``select_crossing_axes`` and the CLI
 ``verify`` suite evaluate both relations through ``crossing_row_deviations``.
+``crossing_operator_deviation`` compares crossed(a I + b S) with a' I + b' Z_t
+on the O(N^2) entries the two hold; no other module reads ``CROSSING_AXES``
+or the entries of Z_t.
 """
 
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -48,7 +50,7 @@ from math import isqrt
 
 import numpy as np
 
-from .sun_algebra import GeneratorSet
+from .sun_algebra import GeneratorSet, qudit_dimension
 
 #: Axes permutation (for a (N,N,N,N)-reshaped operator) implementing the
 #: s -> t crossing reshuffle; select_crossing_axes re-derives it at N = 2, 3, 4.
@@ -83,12 +85,7 @@ class ChannelSpec:
     def __post_init__(self):
         if not isinstance(self.kind, Channel):
             raise TypeError(f"kind must be a Channel, got {self.kind!r}")
-        if not isinstance(self.n, numbers.Integral):
-            raise TypeError(f"qudit dimension must be an integer, got {self.n!r}")
-        # a numpy integer N becomes a Python int, so every payload built from the spec is JSON-ready
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 2:
-            raise ValueError(f"qudit dimension must be at least 2, got {self.n}")
+        object.__setattr__(self, "n", qudit_dimension(self.n))
 
     @cached_property
     def z_gate(self) -> np.ndarray:
@@ -131,27 +128,6 @@ class ChannelSpec:
         return out
 
 
-def s_channel(n: int) -> ChannelSpec:
-    return ChannelSpec(Channel.S, n)
-
-
-def t_channel(n: int) -> ChannelSpec:
-    return ChannelSpec(Channel.T, n)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorSet:
-    """The two irreducible-subspace projectors of a channel."""
-
-    channel: ChannelSpec
-    p_plus: np.ndarray   # symmetric (s) or singlet (t) projector
-    p_minus: np.ndarray  # antisymmetric (s) or adjoint (t) projector
-
-    def __post_init__(self):
-        self.p_plus.setflags(write=False)
-        self.p_minus.setflags(write=False)
-
-
 def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Permute the (k, l, i, j) indices of an N^2 x N^2 operator by ``axes``."""
     n = isqrt(op.shape[0])
@@ -163,12 +139,12 @@ def swap_matrix(n: int) -> np.ndarray:
     return _regroup(np.eye(n * n, dtype=complex), (1, 0, 2, 3))
 
 
-def build_projectors(channel: ChannelSpec) -> ProjectorSet:
-    """Build the channel projector pair from the delta index formulas.
+def build_projectors(channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's projector pair (p_plus, p_minus), read-only, from the delta index formulas.
 
-    s-channel: P_plus[(i,j),(r,s)] = (d_ir d_js + d_jr d_is) / 2 and
-    P_minus with the relative minus sign.  t-channel:
-    P_plus[(k,i),(p,r)] = d_ki d_pr / N and
+    s-channel (symmetric, antisymmetric): P_plus[(i,j),(r,s)] =
+    (d_ir d_js + d_jr d_is) / 2 and P_minus with the relative minus sign.
+    t-channel (singlet, adjoint): P_plus[(k,i),(p,r)] = d_ki d_pr / N and
     P_minus[(k,i),(p,r)] = d_kp d_ir - d_ki d_pr / N.
     """
     n = channel.n
@@ -181,7 +157,9 @@ def build_projectors(channel: ChannelSpec) -> ProjectorSet:
         vec_eye = np.eye(n, dtype=complex).reshape(n * n)
         p_plus = np.outer(vec_eye, vec_eye) / n
         p_minus = eye - p_plus
-    return ProjectorSet(channel=channel, p_plus=p_plus, p_minus=p_minus)
+    for p in (p_plus, p_minus):
+        p.setflags(write=False)
+    return p_plus, p_minus
 
 
 def generator_form_projectors(channel: ChannelSpec, gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +200,7 @@ def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:
 
 def singlet_state(n: int) -> np.ndarray:
     """Normalized maximally entangled singlet sum_i |ii> / sqrt(N)."""
-    if n < 2:
-        raise ValueError(f"qudit dimension must be at least 2, got {n}")
+    n = qudit_dimension(n)
     return np.eye(n, dtype=complex).reshape(n * n) / np.sqrt(n)
 
 
@@ -276,10 +253,40 @@ def crossing_map(op: np.ndarray) -> np.ndarray:
 def crossing_row_deviations(s: ChannelSpec, t: ChannelSpec,
                             axes: tuple[int, ...] = CROSSING_AXES) -> tuple[float, float]:
     """Max deviations |crossed(I) - (N/2)(I + Z_t)| and |crossed(SWAP) - I| under the regrouping ``axes``."""
-    n = s.n
-    eye = np.eye(n * n, dtype=complex)
-    return (float(np.abs(_regroup(s.s_identity, axes) - (n / 2.0) * (eye + t.z_gate)).max()),
+    n, eye = s.n, s.s_identity
+    return (float(np.abs(_regroup(eye, axes) - (n / 2.0) * (eye + t.z_gate)).max()),
             float(np.abs(_regroup(s.z_gate, axes) - eye).max()))
+
+
+def crossing_operator_deviation(n: int, s_pair: tuple[complex, complex],
+                                t_pair: tuple[complex, complex]) -> float:
+    """max |crossing_map(M_s) - M_t| over all N^4 entries, read from the O(N^2) entries the two hold.
+
+    ``s_pair`` is the (a, b) of M_s = a I + b S and ``t_pair`` the (a', b') of
+    M_t = a' I + b' Z_t.  With (k, l) over all N^2 pairs, M_s is nonzero at
+    the diagonal (k,l,k,l) and the swap positions (l,k,k,l); M_t, with
+    Z_t = (2/N)|vec I><vec I| - I, at the diagonal and the block (k,k,l,l).
+    The M_s support goes through ``CROSSING_AXES`` as ``crossing_map`` moves
+    it.  Each gate's entries are summed per flat key r N^2 + c on the union of
+    the supports, and both operators are evaluated there as a * I + b * Z, the
+    same arithmetic as the dense matrices; every other entry is 0 - 0.
+    """
+    n = qudit_dimension(n)
+    (a_s, b_s), (a_t, b_t) = s_pair, t_pair
+    k, l = np.divmod(np.arange(n * n), n)
+    diag, swap, block = (k, l, k, l), (l, k, k, l), (k, k, l, l)
+    crossed_diag, crossed_swap = ([x[axis] for axis in CROSSING_AXES] for x in (diag, swap))
+    # (gate, support, entry): crossed I, crossed S, then I and Z_t of the t channel
+    gate, support, entry = zip((0, crossed_diag, 1.0), (1, crossed_swap, 1.0),
+                               (2, diag, 1.0), (3, diag, -1.0), (3, block, 2.0 / n))
+    keys = np.ravel_multi_index(tuple(np.concatenate(support, axis=1)), (n,) * 4)
+    union, where = np.unique(keys, return_inverse=True)
+    weights = np.zeros((4, union.size))
+    np.add.at(weights, (np.repeat(gate, n * n), where), np.repeat(entry, n * n))
+    eye_s, swap_s, eye_t, z_t = weights
+    m_s = a_s * eye_s + b_s * swap_s
+    m_t = a_t * eye_t + b_t * z_t
+    return float(np.abs(m_s - m_t).max())
 
 
 def select_crossing_axes(n: int) -> list[tuple[int, ...]]:
@@ -291,6 +298,6 @@ def select_crossing_axes(n: int) -> list[tuple[int, ...]]:
     crossed(swap) = identity at dimension ``n`` to 1e-12.  Exactly one candidate
     survives; ``CROSSING_AXES`` hard-codes it.
     """
-    s, t = s_channel(n), t_channel(n)
+    s, t = ChannelSpec(Channel.S, n), ChannelSpec(Channel.T, n)
     candidates = [(0,) + tail for tail in permutations((1, 2, 3))]
     return [axes for axes in candidates if max(crossing_row_deviations(s, t, axes)) <= 1e-12]

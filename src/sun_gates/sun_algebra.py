@@ -11,6 +11,7 @@ as complex floats, so the defining identities hold at machine precision.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,13 +78,26 @@ class CompletenessReport:
     passed: bool
 
 
+def qudit_dimension(n) -> int:
+    """N as a Python ``int`` (so JSON-ready), the rule of every constructor that takes N.
+
+    Raises ``TypeError`` naming ``n`` unless it is an integer (numpy integers
+    included), and ``ValueError`` if it is below 2.
+    """
+    if not isinstance(n, numbers.Integral):
+        raise TypeError(f"qudit dimension must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"qudit dimension must be at least 2, got {n}")
+    return int(n)
+
+
 def build_generators(n: int) -> GeneratorSet:
     """Construct the generalized Gell-Mann generators of su(N).
 
     Parameters
     ----------
     n : int
-        Qudit dimension, must be >= 2.
+        Qudit dimension, an integer >= 2 (see ``qudit_dimension``).
 
     Returns
     -------
@@ -93,12 +107,12 @@ def build_generators(n: int) -> GeneratorSet:
 
     Raises
     ------
+    TypeError
+        If n is not an integer.
     ValueError
         If n < 2.
     """
-    if n < 2:
-        raise ValueError(f"qudit dimension must be at least 2, got {n}")
-
+    n = qudit_dimension(n)
     mats = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -89,8 +89,7 @@ def test_criterion_2_projector_suite():
         eye = np.eye(n * n)
         for kind in (Channel.S, Channel.T):
             spec = ChannelSpec(kind, n)
-            projs = build_projectors(spec)
-            p, q = projs.p_plus, projs.p_minus
+            p, q = build_projectors(spec)
             if kind is Channel.S:
                 traces = (n * (n + 1) / 2.0, n * (n - 1) / 2.0)
             else:

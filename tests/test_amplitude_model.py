@@ -16,10 +16,10 @@ from sun_gates.amplitude_model import (
     unitary_parameterization,
 )
 from sun_gates.invariant_channels import (
+    Channel,
+    ChannelSpec,
     build_projectors,
     crossing_map,
-    s_channel,
-    t_channel,
 )
 from sun_gates.sun_algebra import build_generators
 
@@ -27,7 +27,7 @@ coefficients = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infini
 
 
 def setup_channel(n, kind="s"):
-    spec = s_channel(n) if kind == "s" else t_channel(n)
+    spec = ChannelSpec(Channel(kind), n)
     return spec, build_projectors(spec)
 
 
@@ -51,7 +51,8 @@ def test_scalar_amplitudes_reference_points():
     assert abs(mp - 1.0) < 1e-12 and abs(mm - 1.0) < 1e-12
     mp, mm = scalar_amplitudes(spec.z_gate, projs)
     assert abs(mp - 1.0) < 1e-12 and abs(mm + 1.0) < 1e-12
-    mp, mm = scalar_amplitudes(3.0 * projs.p_plus, projs)
+    p_plus, _ = projs
+    mp, mm = scalar_amplitudes(3.0 * p_plus, projs)
     assert abs(mp - 3.0) < 1e-12 and abs(mm) < 1e-12
 
 
@@ -70,7 +71,8 @@ def test_scalar_amplitudes_recover_coefficients(n, kind):
 
 def test_invariance_residual_cases():
     spec, projs = setup_channel(2)
-    exact = 2.0 * projs.p_plus - 5.0 * projs.p_minus
+    p_plus, p_minus = projs
+    exact = 2.0 * p_plus - 5.0 * p_minus
     assert invariance_residual(exact, projs) <= 1e-14
     gens = build_generators(2)
     tilted = np.kron(gens[0], np.eye(2))
@@ -82,18 +84,29 @@ def test_invariance_residual_cases():
 
 
 def test_cross_coefficients_reference_points():
-    spec = s_channel(2)
+    spec = ChannelSpec(Channel.S, 2)
     crossed = cross_coefficients(AmplitudeCoefficients(spec, 1.0, 0.0))
-    assert crossed.channel == t_channel(2)
+    assert crossed.channel == ChannelSpec(Channel.T, 2)
     assert crossed.a == 1.0 and crossed.b == 1.0
     crossed = cross_coefficients(AmplitudeCoefficients(spec, 0.0, 1.0))
     assert crossed.a == 1.0 and crossed.b == 0.0
 
 
+@pytest.mark.parametrize("kind, n, a, b", [
+    (Channel.S, 32, 1e308 + 0j, 0j),   # a' = b' = inf + nan j
+    (Channel.S, 32, 1e308, 0),         # a' = b' = inf
+    (Channel.T, 4, 1e308, -1e308),     # b' = a - b = inf
+], ids=["s-complex", "s-real", "t"])
+def test_cross_coefficients_overflow_raises(kind, n, a, b):
+    # Python complex arithmetic overflows to inf or nan without raising; the crossing must not hand that back
+    with pytest.raises(FloatingPointError, match="overflow encountered in cross_coefficients"):
+        cross_coefficients(AmplitudeCoefficients(ChannelSpec(kind, n), a, b))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 @given(a=coefficients, b=coefficients)
 def test_cross_coefficients_round_trip(n, a, b):
-    coeffs = AmplitudeCoefficients(s_channel(n), a, b)
+    coeffs = AmplitudeCoefficients(ChannelSpec(Channel.S, n), a, b)
     back = cross_coefficients(cross_coefficients(coeffs))
     assert back.channel == coeffs.channel
     assert abs(back.a - a) <= 1e-13 * (1 + abs(a))
@@ -105,7 +118,7 @@ def test_crossing_operator_consistency(n):
     rng = np.random.default_rng(7 * n)
     for _ in range(10):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        coeffs = AmplitudeCoefficients(s_channel(n), a, b)
+        coeffs = AmplitudeCoefficients(ChannelSpec(Channel.S, n), a, b)
         m_s = amplitude_operator(coeffs)
         m_t = amplitude_operator(cross_coefficients(coeffs))
         assert np.abs(crossing_map(m_s) - m_t).max() <= 1e-12

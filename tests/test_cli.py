@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sun_gates import cli
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
 from sun_gates.cli import DIMENSION_LIMITS, build_parser, main, parse_complex
-from sun_gates.invariant_channels import Channel, ChannelSpec, crossing_map
+from sun_gates.invariant_channels import Channel, ChannelSpec, crossing_map, crossing_operator_deviation
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -527,12 +527,11 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
 def test_json_floats_round_trip_exactly(tmp_path):
     # serialized floats reparse to the same doubles the library computed
     from sun_gates.amplitude_model import AmplitudeCoefficients
-    from sun_gates.invariant_channels import s_channel
     from sun_gates.lcu_encoder import plan_encoding
 
     code, data = run_json(tmp_path, "encode", "--a", "0.6,0", "--b", "0,0.8", "--n", "3", "--channel", "s")
     assert code == 0
-    plan = plan_encoding(AmplitudeCoefficients(s_channel(3), 0.6, 0.8j))
+    plan = plan_encoding(AmplitudeCoefficients(ChannelSpec(Channel.S, 3), 0.6, 0.8j))
     assert data["alpha"] == plan.alpha
     assert data["gamma"] == plan.gamma
     assert data["circuit"]["gates"][0]["theta"] == 2.0 * plan.gamma
@@ -628,7 +627,8 @@ def test_crossing_deviation_matches_the_dense_operators(n, kind, a, b, other):
     # an unrelated t-channel pair leaves O(1) entries on both supports, so each entry is pinned, not only a zero
     unrelated = AmplitudeCoefficients(t_coeffs.channel, *other)
     expected = dense(s_coeffs, unrelated)
-    assert abs(cli._crossing_operator_deviation(s_coeffs, unrelated) - expected) <= 1e-15 * max(1.0, expected)
+    deviation = crossing_operator_deviation(n, (s_coeffs.a, s_coeffs.b), other)
+    assert abs(deviation - expected) <= 1e-15 * max(1.0, expected)
 
 
 @pytest.mark.parametrize("channel", ["s", "t"])

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from itertools import product
@@ -14,13 +15,12 @@ from sun_gates.invariant_channels import (
     build_projectors,
     charge_parity_bilinear,
     crossing_map,
+    crossing_operator_deviation,
     crossing_row_deviations,
     generator_form_projectors,
-    s_channel,
     select_crossing_axes,
     singlet_state,
     swap_matrix,
-    t_channel,
     u_exponential_form,
 )
 from sun_gates.sun_algebra import GeneratorSet, build_generators
@@ -37,19 +37,26 @@ SWAP_2 = np.array(
 
 
 def both_channels(n):
-    return [s_channel(n), t_channel(n)]
+    return [ChannelSpec(Channel.S, n), ChannelSpec(Channel.T, n)]
 
 
 def test_channel_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelSpec(Channel.S, 1)
     with pytest.raises(TypeError):
         ChannelSpec("s", 3)
-    # Z's construction indexes by N, so a float N fails here, not deep in z_gate or apply_z
-    for bad in (3.0, np.float64(3.0), "3", None):
-        with pytest.raises(TypeError, match=re.escape(repr(bad))):
-            ChannelSpec(Channel.T, bad)
+    # one N rule for every library entry that takes N
+    for make in (lambda n: ChannelSpec(Channel.T, n), build_generators, singlet_state,
+                 lambda n: crossing_operator_deviation(n, (1.0, 0.0), (1.0, 0.0))):
+        with pytest.raises(ValueError, match="at least 2, got 1"):
+            make(1)
+        # a float N fails here with its value named, not deep in np.eye, z_gate or apply_z
+        for bad in (3.0, np.float64(3.0), "3", None):
+            with pytest.raises(TypeError, match=re.escape(repr(bad))):
+                make(bad)
     assert ChannelSpec(Channel.T, np.int64(3)).apply_z(np.ones(9)).shape == (9,)
+    assert singlet_state(np.int64(3)).shape == (9,)
+    # a numpy integer N is kept as a Python int, so a payload that carries it is JSON-ready
+    for built in (ChannelSpec(Channel.T, np.int64(3)), build_generators(np.int64(3))):
+        assert type(built.n) is int and json.dumps(built.n) == "3"
 
 
 @pytest.mark.parametrize("kind", [Channel.S, Channel.T])
@@ -67,20 +74,20 @@ def test_channel_spec_stays_a_value(kind):
 
 
 def test_projector_traces_small_cases():
-    projs = build_projectors(s_channel(2))
-    assert abs(np.trace(projs.p_plus) - 3.0) < 1e-14
-    assert abs(np.trace(projs.p_minus) - 1.0) < 1e-14
-    projs = build_projectors(t_channel(3))
-    assert abs(np.trace(projs.p_plus) - 1.0) < 1e-14
-    assert abs(np.trace(projs.p_minus) - 8.0) < 1e-14
+    p_plus, p_minus = build_projectors(ChannelSpec(Channel.S, 2))
+    assert abs(np.trace(p_plus) - 3.0) < 1e-14
+    assert abs(np.trace(p_minus) - 1.0) < 1e-14
+    p_plus, p_minus = build_projectors(ChannelSpec(Channel.T, 3))
+    assert abs(np.trace(p_plus) - 1.0) < 1e-14
+    assert abs(np.trace(p_minus) - 8.0) < 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", [Channel.S, Channel.T])
 def test_projector_set_invariants(n, kind):
     spec = ChannelSpec(kind, n)
-    projs = build_projectors(spec)
-    p, q = projs.p_plus, projs.p_minus
+    p, q = build_projectors(spec)
+    assert not p.flags.writeable and not q.flags.writeable
     eye = np.eye(n * n)
     assert np.abs(p @ p - p).max() <= 1e-12
     assert np.abs(q @ q - q).max() <= 1e-12
@@ -99,20 +106,20 @@ def test_projector_set_invariants(n, kind):
 def test_index_form_matches_generator_form(n, kind):
     gens = build_generators(n)
     spec = ChannelSpec(kind, n)
-    projs = build_projectors(spec)
+    p_plus, p_minus = build_projectors(spec)
     g_plus, g_minus = generator_form_projectors(spec, gens)
-    assert np.abs(projs.p_plus - g_plus).max() <= 1e-12
-    assert np.abs(projs.p_minus - g_minus).max() <= 1e-12
+    assert np.abs(p_plus - g_plus).max() <= 1e-12
+    assert np.abs(p_minus - g_minus).max() <= 1e-12
 
 
 def test_swap_gate_is_the_permutation_matrix():
-    spec = s_channel(2)
+    spec = ChannelSpec(Channel.S, 2)
     np.testing.assert_array_equal(spec.z_gate, SWAP_2)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_swap_gate_acts_entrywise(n):
-    spec = s_channel(n)
+    spec = ChannelSpec(Channel.S, n)
     for i in range(n):
         for j in range(n):
             ket = np.zeros(n * n, dtype=complex)
@@ -140,7 +147,7 @@ def test_gate_set_invariants(n, kind):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_charge_parity_spectrum(n):
-    spec = t_channel(n)
+    spec = ChannelSpec(Channel.T, n)
     evals = np.sort(np.linalg.eigvalsh(spec.z_gate))
     assert np.abs(evals[:-1] + 1.0).max() <= 1e-10
     assert abs(evals[-1] - 1.0) <= 1e-10
@@ -158,20 +165,20 @@ def test_singlet_state_explicit_n2():
 def test_singlet_state_properties(n):
     psi = singlet_state(n)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
-    projs = build_projectors(t_channel(n))
-    spec = t_channel(n)
+    spec = ChannelSpec(Channel.T, n)
+    p_plus, _ = build_projectors(spec)
     assert np.abs(spec.z_gate @ psi - psi).max() <= 1e-12
-    assert np.abs(projs.p_plus @ psi - psi).max() <= 1e-12
+    assert np.abs(p_plus @ psi - psi).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orthogonal_complement_has_eigenvalue_minus_one(n):
-    projs = build_projectors(t_channel(n))
-    spec = t_channel(n)
+    spec = ChannelSpec(Channel.T, n)
+    _, p_minus = build_projectors(spec)
     rng = np.random.default_rng(42 + n)
     for _ in range(5):
         vec = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
-        vec = projs.p_minus @ vec
+        vec = p_minus @ vec
         vec /= np.linalg.norm(vec)
         assert np.abs(spec.z_gate @ vec + vec).max() <= 1e-12
 
@@ -194,7 +201,7 @@ def test_bilinears_match_kronecker_sums(n):
     x_t = sum(np.kron(t, t.T) for t in gens)
     assert np.abs(charge_parity_bilinear(gens) - x_t).max() <= 1e-14
     eye = np.eye(n * n)
-    g_plus, g_minus = generator_form_projectors(s_channel(n), gens)
+    g_plus, g_minus = generator_form_projectors(ChannelSpec(Channel.S, n), gens)
     assert np.abs(g_plus - ((n + 1) / (2.0 * n) * eye + x_s)).max() <= 1e-14
     assert np.abs(g_minus - ((n - 1) / (2.0 * n) * eye - x_s)).max() <= 1e-14
 
@@ -202,7 +209,7 @@ def test_bilinears_match_kronecker_sums(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exponential_form_matches_gate_up_to_phase(n):
     gens = build_generators(n)
-    spec = t_channel(n)
+    spec = ChannelSpec(Channel.T, n)
     u_exp = u_exponential_form(gens)
     overlap = abs(np.einsum("ij,ij", spec.z_gate.conj(), u_exp)) / (n * n)
     assert overlap >= 1.0 - 1e-8
@@ -228,14 +235,14 @@ def test_exponential_form_rejects_three_eigenvalue_clusters():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_crossing_rows(n):
-    s_spec = s_channel(n)
-    t_spec = t_channel(n)
-    projs = build_projectors(t_channel(n))
+    s_spec = ChannelSpec(Channel.S, n)
+    t_spec = ChannelSpec(Channel.T, n)
+    p_plus, _ = build_projectors(t_spec)
     eye = np.eye(n * n)
     crossed_identity = crossing_map(s_spec.s_identity)
     crossed_swap = crossing_map(s_spec.z_gate)
     assert np.abs(crossed_identity - (n / 2.0) * (eye + t_spec.z_gate)).max() <= 1e-12
-    assert np.abs(crossed_identity - n * projs.p_plus).max() <= 1e-12
+    assert np.abs(crossed_identity - n * p_plus).max() <= 1e-12
     assert np.abs(crossed_swap - eye).max() <= 1e-12
 
 
@@ -277,9 +284,8 @@ def test_constructions_match_index_loops(n):
         s_minus[i * n + j, r * n + s] = (delta(i, r) * delta(j, s) - delta(j, r) * delta(i, s)) / 2
         t_plus[i * n + j, r * n + s] = delta(i, j) * delta(r, s) / n
         t_minus[i * n + j, r * n + s] = delta(i, r) * delta(j, s) - delta(i, j) * delta(r, s) / n
-    s_projs, t_projs = build_projectors(s_channel(n)), build_projectors(t_channel(n))
-    assert np.array_equal(s_projs.p_plus, s_plus) and np.array_equal(s_projs.p_minus, s_minus)
-    assert np.array_equal(t_projs.p_plus, t_plus) and np.array_equal(t_projs.p_minus, t_minus)
+    assert np.array_equal(build_projectors(ChannelSpec(Channel.S, n)), (s_plus, s_minus))
+    assert np.array_equal(build_projectors(ChannelSpec(Channel.T, n)), (t_plus, t_minus))
 
     rng = np.random.default_rng(n)
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -288,7 +294,7 @@ def test_constructions_match_index_loops(n):
         crossed[a * n + b, c * n + e] = op[a * n + e, b * n + c]
     assert np.array_equal(crossing_map(op), crossed)
 
-    s_spec, t_spec = s_channel(n), t_channel(n)
+    s_spec, t_spec = ChannelSpec(Channel.S, n), ChannelSpec(Channel.T, n)
     eye = np.eye(d, dtype=complex)
     # Z is the projector difference; the closed-form t-channel diagonal may round in another order
     assert not s_spec.z_gate.flags.writeable and not t_spec.z_gate.flags.writeable
@@ -343,4 +349,4 @@ def test_channel_spec_allocates_no_dense_array_until_z_gate_is_read(kind):
 
 def test_generator_form_projectors_dimension_mismatch():
     with pytest.raises(ValueError):
-        generator_form_projectors(s_channel(3), build_generators(2))
+        generator_form_projectors(ChannelSpec(Channel.S, 3), build_generators(2))

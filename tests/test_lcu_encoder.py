@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
-from sun_gates.invariant_channels import build_projectors, s_channel, t_channel
+from sun_gates.invariant_channels import Channel, ChannelSpec, build_projectors
 from sun_gates.lcu_encoder import (
     apply_with_postselection,
     build_w,
@@ -29,7 +29,7 @@ nonzero_pairs = st.tuples(
 
 
 def channel_setup(n, kind="s"):
-    return s_channel(n) if kind == "s" else t_channel(n)
+    return ChannelSpec(Channel(kind), n)
 
 
 def dense_w(spec, theta, phi_a, phi_b, control_a=0, control_b=1):
@@ -74,6 +74,22 @@ def test_plan_rejects_zero_amplitude():
         plan_encoding(AmplitudeCoefficients(spec, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("a, b, named", [
+    (float("nan"), 1.0, "coefficient a"),
+    (1.0, complex(0.0, float("inf")), "coefficient b"),
+    (complex(float("-inf"), 0.0), 0.0, "coefficient a"),
+], ids=["nan-a", "inf-b", "minus-inf-a"])
+def test_plan_rejects_non_finite_coefficient(a, b, named):
+    # a nan or inf is bad input, not an overflow of alpha
+    with pytest.raises(ValueError, match=f"{named} must be finite"):
+        plan_encoding(AmplitudeCoefficients(channel_setup(2), a, b))
+
+
+def test_plan_overflow_of_finite_coefficients():
+    with pytest.raises(OverflowError, match="overflows"):
+        plan_encoding(AmplitudeCoefficients(channel_setup(2), 1e308, 1e308))
+
+
 @given(ab=nonzero_pairs)
 def test_plan_angle_splits_weights(ab):
     a, b = ab
@@ -99,10 +115,10 @@ def test_block_of_identity_plan_is_identity_gate():
 
 def test_block_of_equal_weights_is_symmetric_projector():
     spec = channel_setup(2)
-    projs = build_projectors(spec)
+    p_plus, _ = build_projectors(spec)
     plan = plan_encoding(AmplitudeCoefficients(spec, 0.5, 0.5))
     w = build_w(plan)
-    assert np.abs(w[:4, :4] - projs.p_plus).max() <= 1e-12
+    assert np.abs(w[:4, :4] - p_plus).max() <= 1e-12
 
 
 def test_equal_weight_block_with_phases():
@@ -178,7 +194,7 @@ def test_verify_block_channel_mismatch():
     spec = channel_setup(2)
     plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0))
     with pytest.raises(ValueError):
-        verify_block(plan, AmplitudeCoefficients(t_channel(2), 1.0, 0.0), 1e-12)
+        verify_block(plan, AmplitudeCoefficients(ChannelSpec(Channel.T, 2), 1.0, 0.0), 1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,3 +16,14 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not offenders, offenders
+
+
+def test_only_invariant_channels_names_the_crossing_axes():
+    # the crossing and the entries of Z_t have one home; every other module calls its functions
+    named = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py") if path.name not in ("invariant_channels.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "CROSSING_AXES" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    )
+    assert not named, named
