@@ -13,6 +13,7 @@ overflows to inf or nan raises ``FloatingPointError``.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +187,12 @@ def disk_samples(resolution: int) -> list[DiskSample]:
     phi = 0 (so |a|^2 + |b|^2 = 1, including the pure-identity point theta = 0
     and the pure-Z point theta = pi/2); the remaining rows scale the same arc
     by radii r = k / resolution, k = 1 .. resolution - 1, all with
-    |a|^2 + |b|^2 < 1.  ``resolution`` runs from 2 to ``MAX_DISK_RESOLUTION``.
+    |a|^2 + |b|^2 < 1.  ``resolution`` is an integer from 2 to
+    ``MAX_DISK_RESOLUTION``: ``TypeError`` names any other type, ``ValueError``
+    a value out of that range.
     """
+    if not isinstance(resolution, numbers.Integral):
+        raise TypeError(f"resolution must be an integer, got {resolution!r}")
     if not 2 <= resolution <= MAX_DISK_RESOLUTION:
         raise ValueError(f"resolution must be between 2 and {MAX_DISK_RESOLUTION}, got {resolution}")
     thetas = np.linspace(0.0, np.pi / 2.0, resolution)

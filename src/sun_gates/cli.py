@@ -63,7 +63,7 @@ ENV_TOLERANCE = "SUN_GATES_TOLERANCE"
 #: Each command that takes --n, with its largest N; the parser and both scripts build --n from this entry.
 DIMENSION_LIMITS = {
     "generators": 32,  # holds dense N^2 x N^2 (and N^4-entry) arrays
-    "verify": 16,      # its decompose/reconstruct round trip is an O(N^8) einsum, ~50 s at N = 16
+    "verify": 16,      # its round trip's decompose is an O(N^8) einsum (reconstruct is O(N^6)): ~30 s at N = 16
     "encode": 64,      # applies Z to --psi in O(N^2) and holds no N^2 x N^2 array
     "cross": 64,       # checks the crossing on the O(N^2) nonzero entries and holds no N^2 x N^2 array
 }

@@ -58,15 +58,42 @@ def decompose(op: np.ndarray, gens: GeneratorSet) -> OperatorBasisDecomposition:
     return OperatorBasisDecomposition(n=n, scalar=scalar, left=left, right=right, corr=corr)
 
 
+def _hilbert_schmidt_basis(gens: GeneratorSet) -> np.ndarray:
+    """The N^2 x N^2 stack B whose rows are vec(I)/sqrt(N) and sqrt(2) vec(T^a), orthonormal under Tr(A^dag B)."""
+    n = gens.n
+    return np.concatenate([
+        np.eye(n, dtype=complex).reshape(1, n * n) / np.sqrt(n),
+        np.sqrt(2.0) * gens.generators.reshape(len(gens), n * n),
+    ])
+
+
 def reconstruct(dec: OperatorBasisDecomposition, gens: GeneratorSet) -> np.ndarray:
-    """Rebuild the operator from its basis coefficients."""
+    """Rebuild the operator from its basis coefficients as one change of basis, R = B^T C B.
+
+    B is the Hilbert-Schmidt basis {I/sqrt(N), sqrt(2) T^a} stacked as an
+    N^2 x N^2 matrix, and C holds the coefficients in that basis:
+    C_00 = N scalar, C_a0 = left_a / sqrt(2/N), C_0b = right_b / sqrt(2/N),
+    C_ab = corr_ab / 2.  B^T C B is indexed [(k,i),(l,j)]; R is that matrix
+    with its (k, i, l, j) indices regrouped by (0, 2, 1, 3).  The cost is two
+    N^2 x N^2 matrix products, O(N^6).
+
+    Raises ``ValueError`` if ``dec`` is for another N, or naming the field if
+    ``scalar`` is not a scalar or ``left``, ``right`` or ``corr`` is not of
+    shape (N^2-1,), (N^2-1,) or (N^2-1, N^2-1).
+    """
     if dec.n != gens.n:
         raise ValueError(f"decomposition is for N={dec.n}, generators for N={gens.n}")
     n = gens.n
-    g = gens.generators
-    eye = np.eye(n, dtype=complex)
-    out = dec.scalar * np.eye(n * n, dtype=complex)
-    out += np.kron(np.einsum("a,aki->ki", dec.left, g), eye)
-    out += np.kron(eye, np.einsum("a,alj->lj", dec.right, g))
-    out += np.einsum("ab,aki,blj->klij", dec.corr, g, g).reshape(n * n, n * n)
-    return out
+    d = len(gens)
+    for name, shape in (("scalar", ()), ("left", (d,)), ("right", (d,)), ("corr", (d, d))):
+        got = np.shape(getattr(dec, name))
+        if got != shape:
+            raise ValueError(f"{name} must have shape {shape} for N={n}, got {got}")
+    c = np.empty((d + 1, d + 1), dtype=complex)
+    c[0, 0] = n * dec.scalar
+    c[1:, 0] = dec.left / np.sqrt(2.0 / n)
+    c[0, 1:] = dec.right / np.sqrt(2.0 / n)
+    c[1:, 1:] = dec.corr / 2.0
+    b = _hilbert_schmidt_basis(gens)
+    r = (b.T @ c @ b).reshape(n, n, n, n)  # [k, i, l, j]
+    return r.transpose(0, 2, 1, 3).reshape(n * n, n * n)

@@ -243,3 +243,5 @@ def test_disk_samples_resolution_validation():
         disk_samples(1)
     with pytest.raises(ValueError, match="1024"):
         disk_samples(1025)
+    with pytest.raises(TypeError, match="resolution"):
+        disk_samples(2.5)

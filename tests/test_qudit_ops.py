@@ -1,12 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sun_gates.qudit_ops import decompose, reconstruct
+from sun_gates.qudit_ops import OperatorBasisDecomposition, decompose, reconstruct
 from sun_gates.sun_algebra import build_generators
 
 complex_scalars = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+def einsum_reconstruct(dec, gens):
+    # the dense sum scalar I(x)I + left_a T^a(x)I + right_b I(x)T^b + corr_ab T^a(x)T^b, as an oracle
+    n = gens.n
+    g = gens.generators
+    eye = np.eye(n, dtype=complex)
+    out = dec.scalar * np.eye(n * n, dtype=complex)
+    out += np.kron(np.einsum("a,aki->ki", dec.left, g), eye)
+    out += np.kron(eye, np.einsum("a,alj->lj", dec.right, g))
+    out += np.einsum("ab,aki,blj->klij", dec.corr, g, g).reshape(n * n, n * n)
+    return out
 
 
 def random_operator(n, seed):
@@ -109,4 +124,38 @@ def test_dimension_mismatch_raises():
         decompose(np.eye(4, dtype=complex), gens)
     dec = decompose(np.eye(4, dtype=complex), build_generators(2))
     with pytest.raises(ValueError):
+        reconstruct(dec, gens)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_reconstruct_matches_einsum_oracle(n, data):
+    # arbitrary coefficients, not only images of decompose
+    gens = build_generators(n)
+    d = n * n - 1
+    dec = OperatorBasisDecomposition(
+        n=n,
+        scalar=data.draw(complex_scalars),
+        left=data.draw(arrays(complex, d, elements=complex_scalars)),
+        right=data.draw(arrays(complex, d, elements=complex_scalars)),
+        corr=data.draw(arrays(complex, (d, d), elements=complex_scalars)),
+    )
+    assert np.abs(reconstruct(dec, gens) - einsum_reconstruct(dec, gens)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("scalar", (1,)),
+    ("scalar", (9,)),
+    ("left", (1,)),
+    ("left", (8, 8)),
+    ("right", (1,)),
+    ("corr", ()),
+    ("corr", (8,)),
+    ("corr", (1, 8)),
+], ids=str)
+def test_reconstruct_rejects_misshaped_fields(field, shape):
+    gens = build_generators(3)
+    dec = dataclasses.replace(decompose(np.eye(9, dtype=complex), gens), **{field: np.ones(shape)})
+    with pytest.raises(ValueError, match=field):
         reconstruct(dec, gens)
