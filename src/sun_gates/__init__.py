@@ -48,7 +48,6 @@ from .lcu_encoder import (
 from .qudit_ops import OperatorBasisDecomposition, decompose, reconstruct
 from .sun_algebra import (
     DEFAULT_TOLERANCE,
-    CompletenessReport,
     GeneratorSet,
     build_generators,
     hermiticity_deviation,

@@ -52,8 +52,6 @@ class BlockEncodingReport:
 
     block_identity_deviation: float
     w_unitarity_deviation: float
-    tolerance: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ def build_w(plan: BlockEncodingPlan) -> np.ndarray:
     return np.kron(a, plan.channel.s_identity) + np.kron(b, plan.channel.z_gate)
 
 
-def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients, tolerance: float) -> BlockEncodingReport:
-    """Check the plan's circuit against the amplitude a * identity + b * Z on 2x2 arrays alone.
+def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients) -> BlockEncodingReport:
+    """Deviations of the plan's circuit from the amplitude a * identity + b * Z, on 2x2 arrays alone.
 
     With W = A (x) I + B (x) Z, the top-left block is A_00 I + B_00 Z, so the
     block identity deviation is max(|A_00 - a / alpha|, |B_00 - b / alpha|).
@@ -130,12 +128,7 @@ def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients, toleran
     block = max(abs(top - complex(c.real / plan.alpha, c.imag / plan.alpha))
                 for top, c in ((a[0, 0], coeffs.a), (b[0, 0], coeffs.b)))
     unitarity = max(float(np.abs(w.conj().T @ w - np.eye(2)).max()) for w in (a + b, a - b))
-    return BlockEncodingReport(
-        block_identity_deviation=float(block),
-        w_unitarity_deviation=unitarity,
-        tolerance=tolerance,
-        passed=block <= tolerance and unitarity <= tolerance,
-    )
+    return BlockEncodingReport(block_identity_deviation=float(block), w_unitarity_deviation=unitarity)
 
 
 def apply_with_postselection(plan: BlockEncodingPlan, psi: np.ndarray) -> PostselectionResult:

@@ -68,16 +68,6 @@ class GeneratorSet:
         return f
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    """Result of checking the completeness (Fierz) identity."""
-
-    n: int
-    max_deviation: float
-    tolerance: float
-    passed: bool
-
-
 def qudit_dimension(n) -> int:
     """N as a Python ``int`` (so JSON-ready), the rule of every constructor that takes N.
 
@@ -159,11 +149,11 @@ def orthonormality_deviation(gens: GeneratorSet) -> float:
     return float(np.abs(gram - 0.5 * np.eye(d)).max())
 
 
-def verify_completeness(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE) -> CompletenessReport:
-    """Check the completeness (Fierz) identity of the generator basis.
+def verify_completeness(gens: GeneratorSet) -> float:
+    """Max deviation of the completeness (Fierz) identity of the generator basis.
 
     Evaluates sum_a (T^a)_ij (T^a)_kl - (delta_il delta_jk - delta_ij delta_kl / N) / 2
-    over all index tuples (i, j, k, l) and reports the max absolute deviation.
+    over all index tuples (i, j, k, l) and returns the max absolute value.
     """
     n = gens.n
     lhs = gens.fierz.reshape(n, n, n, n)
@@ -172,5 +162,4 @@ def verify_completeness(gens: GeneratorSet, tolerance: float = DEFAULT_TOLERANCE
         np.einsum("il,jk->ijkl", eye, eye)
         - np.einsum("ij,kl->ijkl", eye, eye) / n
     )
-    dev = float(np.abs(lhs - rhs).max())
-    return CompletenessReport(n=n, max_deviation=dev, tolerance=tolerance, passed=dev <= tolerance)
+    return float(np.abs(lhs - rhs).max())

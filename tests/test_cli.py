@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -18,6 +20,8 @@ from sun_gates import cli
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
 from sun_gates.cli import DIMENSION_LIMITS, build_parser, main, parse_complex
 from sun_gates.invariant_channels import Channel, ChannelSpec, crossing_map, crossing_operator_deviation
+from sun_gates.lcu_encoder import plan_encoding, verify_block
+from sun_gates.sun_algebra import build_generators, verify_completeness
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -110,6 +114,17 @@ def test_verify_swap_action_catches_a_wrong_swap(tmp_path, monkeypatch):
     assert code == 1
     swap = next(c for c in data["checks"] if c["name"] == "swap_action")
     assert not swap["passed"] and swap["max_deviation"] == 1.0
+
+
+def test_u_spectrum_adds_a_wrong_multiplicity_to_its_deviation(tmp_path, monkeypatch):
+    # eigenvalues of -Z_t: all still of modulus 1, but +1 x8 and -1 x1 at N = 3, a miscount of 7
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda z: -eigvalsh(z))
+    code, data = run_json(tmp_path, "verify", "--n", "3", "--channel", "t")
+    assert code == 1
+    spectrum = next(c for c in data["checks"] if c["name"] == "u_spectrum")
+    assert spectrum["detail"] == "multiplicities +1 x8, -1 x1"
+    assert not spectrum["passed"] and 7.0 <= spectrum["max_deviation"] <= 7.0 + 1e-12
 
 
 def test_encode_identity(tmp_path):
@@ -405,6 +420,20 @@ def test_subnormal_coefficients_encode(tmp_path):
     assert _strict_json(text)["all_passed"]
 
 
+def test_failed_block_check_exits_1_with_strict_json(tmp_path):
+    # the block deviation exceeds this tolerance: the CLI's verdict is a plain bool and the payload still prints
+    code, text = run(tmp_path, "encode", "--n", "2", "--a=1,0", "--b=1,0", "--tolerance=1e-320")
+    assert code == 1
+    payload = _strict_json(text)
+    assert payload["all_passed"] is False
+    assert {"block_identity_deviation", "w_unitarity_deviation"} <= payload.keys()
+    # the library returns Python floats, which json and `is` comparisons take as they are
+    assert type(verify_completeness(build_generators(2))) is float
+    coeffs = AmplitudeCoefficients(ChannelSpec(Channel.S, 2), 1.0, 1.0)
+    report = verify_block(plan_encoding(coeffs), coeffs)
+    assert type(report.block_identity_deviation) is float and type(report.w_unitarity_deviation) is float
+
+
 def test_disk_resolution_above_limit_is_usage_error(tmp_path, capsys):
     # never test a resolution that would allocate: the limit is checked before linspace
     code, text = run(tmp_path, "disk", "--resolution", "1025")
@@ -526,9 +555,6 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
 
 def test_json_floats_round_trip_exactly(tmp_path):
     # serialized floats reparse to the same doubles the library computed
-    from sun_gates.amplitude_model import AmplitudeCoefficients
-    from sun_gates.lcu_encoder import plan_encoding
-
     code, data = run_json(tmp_path, "encode", "--a", "0.6,0", "--b", "0,0.8", "--n", "3", "--channel", "s")
     assert code == 0
     plan = plan_encoding(AmplitudeCoefficients(ChannelSpec(Channel.S, 3), 0.6, 0.8j))
@@ -645,3 +671,112 @@ def test_cross_at_its_cap_allocates_no_dense_array(tmp_path, channel):
     assert code == 0
     assert _strict_json(text)["all_passed"]
     assert peak < dense_bytes / 100, peak / dense_bytes
+
+
+# edge values of every numeric field; no token of EDGE parses to an int above 4
+EDGE = ["0", "-0", "5e-324", "1e-320", "1e308", "1e400", "nan", "inf", "2.5", "0x10", ""]
+SECTOR_HEADER = "j,re_a,im_a,re_b,im_b,kappa\n"
+# each flag's well-formed values, and the edge values that replace up to two of them in a drawn command line
+WELL_FORMED = {
+    "--n": ["2", "3", "4"],
+    "--channel": ["s", "t"],
+    "--tolerance": ["1e-12", "1e-320"],  # at 1e-320 any nonzero deviation fails its check
+    "--seed": ["0", "7"],
+    "--a": ["1,0", "0.6,-0.8", "5e-324,0"],
+    "--b": ["0,0", "0,1", "-2.5,1e-320"],
+    "--resolution": ["2", "3", "16"],
+    "--format": ["csv", "json"],
+}
+# re,im from edge parts, or the wrong field count
+edge_complex = st.one_of(st.tuples(st.sampled_from(EDGE), st.sampled_from(EDGE)).map(",".join),
+                         st.sampled_from(["1", "1,0,0"]))
+EDGE_VALUES = {
+    "--n": st.sampled_from([*EDGE, "-1", "1"]),
+    "--channel": st.just("u"),
+    "--tolerance": st.sampled_from(EDGE),
+    "--seed": st.sampled_from([*EDGE, "-1"]),
+    "--a": edge_complex,
+    "--b": edge_complex,
+    "--resolution": st.sampled_from([*EDGE, "1"]),
+    "--format": st.just("xml"),
+}
+COMMAND_FLAGS = {
+    "generators": ["--n", "--tolerance"],
+    "verify": ["--n", "--channel", "--tolerance", "--seed"],
+    "encode": ["--n", "--channel", "--tolerance", "--a", "--b", "--psi"],
+    "cross": ["--n", "--channel", "--tolerance", "--a", "--b"],
+    "disk": ["--resolution", "--format"],
+    "partial-wave": ["--tolerance"],
+}
+
+
+@pytest.fixture(scope="module")
+def sector_files(tmp_path_factory):
+    """Small sector tables: in and beyond the bound, header only, bad header, short row, an edge value per field."""
+    root = tmp_path_factory.mktemp("sectors")
+    base = ["0", "0.6", "0", "0.8", "0", "1"]
+    tables = {"valid": SECTOR_HEADER + ",".join(base) + "\n", "violation": SECTOR_HEADER + "0,1,0,1,0,1\n",
+              "header-only": SECTOR_HEADER, "bad-header": "j,a,b\n0,1,0\n", "short-row": SECTOR_HEADER + "0,1,0\n"}
+    for field in range(6):
+        for i, token in enumerate(EDGE):
+            row = [*base[:field], token, *base[field + 1:]]
+            tables[f"field{field}-{i}"] = SECTOR_HEADER + ",".join(row) + "\n"
+    for name, text in tables.items():
+        (root / f"{name}.csv").write_text(text)
+    return [str(root / f"{name}.csv") for name in tables] + [str(root / "missing.csv")]
+
+
+@st.composite
+def psi_tokens(draw, n, corrupt):
+    """A basis vector of N^2 real amplitudes; a corrupt one may have N^2 +- 1 entries or an edge value."""
+    length = n * n + (draw(st.integers(-1, 1)) if corrupt else 0)
+    values = ["0"] * length
+    values[draw(st.integers(0, length - 1))] = "1"
+    if corrupt and draw(st.booleans()):
+        values[draw(st.integers(0, length - 1))] = draw(st.sampled_from(EDGE))
+    return ",".join(values)
+
+
+@st.composite
+def command_lines(draw, sector_files):
+    """A subcommand with some of its flags (maybe one it does not read), each joined or split from its value."""
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    flags = [flag for flag in COMMAND_FLAGS[command] if draw(st.integers(0, 7))]
+    flags = list(dict.fromkeys(flags + draw(st.sampled_from([[]] * 6 + [["--resolution"], ["--seed"], ["--a"]]))))
+    corrupt = set(draw(st.lists(st.sampled_from(flags), max_size=2))) if flags else set()
+    values = {flag: draw(EDGE_VALUES[flag] if flag in corrupt else st.sampled_from(WELL_FORMED[flag]))
+              for flag in flags if flag != "--psi"}
+    if "--psi" in flags:
+        n = values.get("--n", "3")  # --n defaults to 3
+        n = int(n) if n in WELL_FORMED["--n"] else draw(st.integers(2, 4))
+        values["--psi"] = draw(psi_tokens(n, "--psi" in corrupt))
+    argv = [command] + ([draw(st.sampled_from(sector_files))] if command == "partial-wave" else [])
+    for flag, value in values.items():
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_command_line_exits_cleanly(sector_files, data):
+    # exit 0 or 1 with its strict payload and the verdict it states, or exit 2 with one error and no stdout
+    argv = data.draw(command_lines(sector_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert "Traceback" not in stderr
+    if code == 2:
+        assert stdout == ""
+        assert "error:" in stderr
+        return
+    assert code in (0, 1)
+    if argv[0] == "disk":
+        assert code == 0
+        if stdout.startswith("theta,"):
+            assert stdout.startswith("theta,phi,re_a,im_a,re_b,im_b,norm_sq\r\n")
+            return
+    payload = _strict_json(stdout)
+    verdict = payload.get("all_passed", payload.get("all_bounds_satisfied", True))
+    assert verdict is (code == 0)

@@ -155,8 +155,8 @@ def test_block_identity_random_amplitudes(n, kind):
         w = build_w(plan)
         m = amplitude_operator(coeffs)
         assert np.abs(w[:n * n, :n * n] - m / plan.alpha).max() <= 1e-12
-        report = verify_block(plan, coeffs, tolerance=1e-12)
-        assert report.passed, report
+        report = verify_block(plan, coeffs)
+        assert max(report.block_identity_deviation, report.w_unitarity_deviation) <= 1e-12, report
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -180,12 +180,10 @@ def off_angle(plan):
 def test_verify_block_trivial_and_corrupted():
     spec = channel_setup(2)
     identity = AmplitudeCoefficients(spec, 1.0, 0.0)
-    eye_block = verify_block(plan_encoding(identity), identity, 1e-12)
-    assert eye_block.passed
+    eye_block = verify_block(plan_encoding(identity), identity)
     assert eye_block.block_identity_deviation == 0.0 and eye_block.w_unitarity_deviation == 0.0
     coeffs = AmplitudeCoefficients(spec, 0.3 + 0.1j, 0.7)
-    report = verify_block(off_angle(plan_encoding(coeffs)), coeffs, tolerance=1e-12)
-    assert not report.passed
+    report = verify_block(off_angle(plan_encoding(coeffs)), coeffs)
     assert report.block_identity_deviation > 1e-3
     assert report.w_unitarity_deviation <= 1e-12
 
@@ -194,7 +192,7 @@ def test_verify_block_channel_mismatch():
     spec = channel_setup(2)
     plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0))
     with pytest.raises(ValueError):
-        verify_block(plan, AmplitudeCoefficients(ChannelSpec(Channel.T, 2), 1.0, 0.0), 1e-12)
+        verify_block(plan, AmplitudeCoefficients(ChannelSpec(Channel.T, 2), 1.0, 0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,11 +213,10 @@ def test_z2_replay_matches_dense_w(ab, n, kind):
         w = dense_w(spec, 2.0 * candidate.gamma, candidate.phi_a, candidate.phi_b)
         dense_block = np.abs(w[:d, :d] - m / plan.alpha).max() <= 1e-12
         dense_unitary = np.abs(w.conj().T @ w - eye).max() <= 1e-12
-        report = verify_block(candidate, coeffs, 1e-12)
+        report = verify_block(candidate, coeffs)
         assert (report.block_identity_deviation <= 1e-12) == dense_block == good
         assert (report.w_unitarity_deviation <= 1e-12) == dense_unitary
         assert report.w_unitarity_deviation <= 1e-12
-        assert report.passed == good
 
 
 def test_verify_block_at_subnormal_alpha():
@@ -229,8 +226,8 @@ def test_verify_block_at_subnormal_alpha():
     plan = plan_encoding(coeffs)
     assert plan.alpha == 1e-323
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        report = verify_block(plan, coeffs, 1e-12)
-    assert report.passed
+        report = verify_block(plan, coeffs)
+    assert max(report.block_identity_deviation, report.w_unitarity_deviation) <= 1e-12
 
 
 def test_postselection_identity_leaves_state():

@@ -27,3 +27,22 @@ def test_only_invariant_channels_names_the_crossing_axes():
         if "CROSSING_AXES" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     )
     assert not named, named
+
+
+def test_only_the_cli_compares_a_deviation_with_a_tolerance():
+    # library checks return deviations and cli.py alone turns them into verdicts; check_partial_wave is the one
+    # exception, since its bound flags are the partial-wave payload itself
+    allowed = {"amplitude_model.py: check_partial_wave(tolerance)"}
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                named += [f"{path.name}: {node.name}.{field.target.id}" for field in node.body
+                          if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                          and field.target.id in ("passed", "tolerance")]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                named += [f"{path.name}: {node.name}(tolerance)" for p in params if p.arg == "tolerance"]
+    assert sorted(named) == sorted(allowed), named

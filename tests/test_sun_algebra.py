@@ -85,9 +85,9 @@ def test_completeness_explicit_index_loop(n):
                     rhs = 0.5 * ((i == l) * (j == k) - (i == j) * (k == l) / n)
                     worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12
-    report = verify_completeness(gens, tolerance=1e-12)
-    assert report.passed
-    assert abs(report.max_deviation - worst) <= 1e-15
+    deviation = verify_completeness(gens)
+    assert deviation <= 1e-12
+    assert abs(deviation - worst) <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -101,9 +101,7 @@ def test_fierz_tensor_matches_einsum(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_completeness_passes_at_tight_tolerance(n):
-    report = verify_completeness(build_generators(n), tolerance=1e-12)
-    assert report.passed
-    assert report.max_deviation <= 1e-12
+    assert verify_completeness(build_generators(n)) <= 1e-12
 
 
 def test_generator_set_rejects_wrong_shape():
