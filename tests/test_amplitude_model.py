@@ -8,7 +8,6 @@ from sun_gates.amplitude_model import (
     AmplitudeCoefficients,
     PartialWaveSector,
     amplitude_operator,
-    check_partial_wave,
     cross_coefficients,
     disk_samples,
     invariance_residual,
@@ -21,7 +20,7 @@ from sun_gates.invariant_channels import (
     build_projectors,
     crossing_map,
 )
-from sun_gates.sun_algebra import build_generators
+from sun_gates.sun_algebra import DEFAULT_TOLERANCE, build_generators
 
 coefficients = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)
 
@@ -167,26 +166,22 @@ def test_unitary_parameterization_invariants(theta, phi):
 
 
 def test_partial_wave_no_scattering():
-    report = check_partial_wave(PartialWaveSector(j=0, a_j=0.0, b_j=0.0, kappa_j=1.0))
-    assert report.norm_sq == 0.0
-    assert report.eigen_plus == 1.0 and report.eigen_minus == 1.0
-    assert report.in_unit_disk == (True, True)
-    assert report.bound_satisfied
-    assert not report.elastic_saturation
+    sector = PartialWaveSector(j=0, a_j=0.0, b_j=0.0, kappa_j=1.0)
+    assert sector.norm_sq == 0.0
+    assert sector.eigen_plus == 1.0 and sector.eigen_minus == 1.0
 
 
 def test_partial_wave_elastic_saturation():
-    report = check_partial_wave(PartialWaveSector(j=0, a_j=1.0, b_j=0.0, kappa_j=0.3))
-    assert report.elastic_saturation
-    assert report.bound_satisfied
+    sector = PartialWaveSector(j=0, a_j=1.0, b_j=0.0, kappa_j=0.3)
+    assert sector.norm_sq == 1.0
+    assert sector.eigen_plus == sector.eigen_minus == 1.0 + 0.3j
 
 
 def test_partial_wave_bound_violation():
-    report = check_partial_wave(PartialWaveSector(j=1, a_j=1.0, b_j=1.0, kappa_j=1.0))
-    assert abs(report.norm_sq - 2.0) <= 1e-14
-    assert not report.bound_satisfied
-    assert abs(report.eigen_plus - (1.0 + 2.0j)) <= 1e-14
-    assert abs(report.eigen_minus - 1.0) <= 1e-14
+    sector = PartialWaveSector(j=1, a_j=1.0, b_j=1.0, kappa_j=1.0)
+    assert abs(sector.norm_sq - 2.0) <= 1e-14
+    assert abs(sector.eigen_plus - (1.0 + 2.0j)) <= 1e-14
+    assert abs(sector.eigen_minus - 1.0) <= 1e-14
 
 
 @given(
@@ -196,25 +191,36 @@ def test_partial_wave_bound_violation():
     im_b=st.floats(min_value=-2, max_value=2),
     kappa=st.floats(min_value=1e-3, max_value=10),
 )
-def test_partial_wave_flags_match_arithmetic(re_a, im_a, re_b, im_b, kappa):
+def test_partial_wave_measurements_match_arithmetic(re_a, im_a, re_b, im_b, kappa):
     a, b = complex(re_a, im_a), complex(re_b, im_b)
-    report = check_partial_wave(PartialWaveSector(j=2, a_j=a, b_j=b, kappa_j=kappa), tolerance=1e-10)
-    norm_sq = abs(a) ** 2 + abs(b) ** 2
-    assert abs(report.norm_sq - norm_sq) <= 1e-14
-    assert report.bound_satisfied == (norm_sq <= 1.0 + 1e-10)
-    assert abs(report.eigen_plus - (1 + 1j * kappa * (a + b))) <= 1e-14
-    assert abs(report.eigen_minus - (1 + 1j * kappa * (a - b))) <= 1e-14
+    sector = PartialWaveSector(j=2, a_j=a, b_j=b, kappa_j=kappa)
+    assert type(sector.norm_sq) is float
+    assert abs(sector.norm_sq - (abs(a) ** 2 + abs(b) ** 2)) <= 1e-14
+    assert abs(sector.eigen_plus - (1 + 1j * kappa * (a + b))) <= 1e-14
+    assert abs(sector.eigen_minus - (1 + 1j * kappa * (a - b))) <= 1e-14
+
+
+@pytest.mark.parametrize("name, a, b, kappa", [
+    ("norm_sq", 1e154, 1e154, 1.0),      # each square is 1e308, their sum inf
+    ("eigen_plus", 1.0, 1.0, 1e308),     # kappa (a + b) = 2e308
+    ("eigen_minus", 1.0, -1.0, 1e308),   # kappa (a - b) = 2e308
+])
+def test_partial_wave_measurement_overflow_raises(name, a, b, kappa):
+    # Python float and complex arithmetic overflow to inf without raising; a measurement must not hand that back
+    sector = PartialWaveSector(j=0, a_j=a, b_j=b, kappa_j=kappa)
+    with pytest.raises(FloatingPointError, match=f"overflow encountered in {name}$"):
+        getattr(sector, name)
 
 
 def test_unitary_sectors_always_saturate():
     # a sector built from the boundary parameterization has norm one, so the
-    # elastic-saturation flag must fire for every (theta, phi)
+    # elastic-saturation flag, |norm_sq - 1| <= tolerance, must fire for every (theta, phi)
     spec, _ = setup_channel(3, "t")
     for theta in np.linspace(0.0, 2 * np.pi, 9):
         for phi in np.linspace(-np.pi, np.pi, 5):
             c = unitary_parameterization(theta, phi, spec)
             sector = PartialWaveSector(j=0, a_j=c.a, b_j=c.b, kappa_j=1.0)
-            assert check_partial_wave(sector).elastic_saturation
+            assert abs(sector.norm_sq - 1.0) <= DEFAULT_TOLERANCE
 
 
 def test_partial_wave_sector_validation():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sun_gates import cli
@@ -257,6 +257,53 @@ def test_partial_wave_violation_exits_nonzero(tmp_path):
     assert not data["all_bounds_satisfied"]
 
 
+ROW_KEYS = ["j", "a", "b", "kappa", "norm_sq", "bound_satisfied", "eigen_plus", "eigen_minus", "in_unit_disk",
+            "elastic_saturation"]
+bounded = st.floats(min_value=-2, max_value=2)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(sectors=[(0.0, 0.0, 0.0, 0.0, 1.0)])   # no scattering: inside every bound, not saturated
+@example(sectors=[(1.0, 0.0, 0.0, 0.0, 0.3)])   # elastic saturation
+@example(sectors=[(1.0, 0.0, 1.0, 0.0, 1.0)])   # norm 2: the bound fails
+@given(sectors=st.lists(st.tuples(bounded, bounded, bounded, bounded, st.floats(min_value=1e-3, max_value=10)),
+                        min_size=1, max_size=3))
+def test_partial_wave_flags_match_arithmetic(tmp_path, sectors):
+    table = tmp_path / "flags.csv"
+    table.write_text("j,re_a,im_a,re_b,im_b,kappa\n" + "".join(
+        "2," + ",".join(repr(v) for v in sector) + "\n" for sector in sectors))
+    code, data = run_json(tmp_path, "partial-wave", str(table), "--tolerance=1e-10")
+    for (re_a, im_a, re_b, im_b, kappa), row in zip(sectors, data["sectors"], strict=True):
+        a, b = complex(re_a, im_a), complex(re_b, im_b)
+        norm_sq = abs(a) ** 2 + abs(b) ** 2
+        eigens = (1 + 1j * kappa * (a + b), 1 + 1j * kappa * (a - b))
+        assert list(row) == ROW_KEYS
+        assert row["bound_satisfied"] == (norm_sq <= 1.0 + 1e-10)
+        assert row["in_unit_disk"] == [abs(e) <= 1.0 + 1e-10 for e in eigens]
+        assert row["elastic_saturation"] == (abs(norm_sq - 1.0) <= 1e-10)
+    assert data["all_bounds_satisfied"] == all(row["bound_satisfied"] for row in data["sectors"])
+    assert code == (0 if data["all_bounds_satisfied"] else 1)
+
+
+@pytest.mark.parametrize("tolerance, satisfied", [("0.25", True), ("0.2", False)])
+def test_partial_wave_bound_is_inclusive(tmp_path, tolerance, satisfied):
+    # |1|^2 + |0.5|^2 = 1.25 = 1 + 0.25 exactly, so at --tolerance=0.25 the norm sits on the bound
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0.5,0,1\n")
+    code, data = run_json(tmp_path, "partial-wave", str(sectors), f"--tolerance={tolerance}")
+    assert data["sectors"][0]["norm_sq"] == 1.25
+    assert data["sectors"][0]["bound_satisfied"] is satisfied
+    assert code == (0 if satisfied else 1)
+
+
+def test_partial_wave_accepts_a_byte_order_mark(tmp_path):
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_bytes(b"\xef\xbb\xbf" + b"j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0,1\n")
+    code, data = run_json(tmp_path, "partial-wave", str(sectors))
+    assert code == 0
+    assert data["sectors"][0]["elastic_saturation"]
+
+
 def test_partial_wave_empty_file(tmp_path, capsys):
     # a table with no sector rows would satisfy every bound vacuously, so it is an input error
     sectors = tmp_path / "sectors.csv"
@@ -350,17 +397,19 @@ def test_tolerance_flag_wins_over_invalid_env(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy RuntimeWarning on the CLI path fails the test
-@pytest.mark.parametrize("args", [
-    ["partial-wave", "{sectors}"],
-    ["cross", "--n", "2", "--a=1e308,1e308", "--b=1e308,0"],
+@pytest.mark.parametrize("args, row", [
+    (["partial-wave", "{sectors}"], "0,1e200,0,0,0,1"),      # |a|^2 raises OverflowError
+    (["partial-wave", "{sectors}"], "0,1e154,0,1e154,0,1"),  # |a|^2 + |b|^2 = inf
+    (["partial-wave", "{sectors}"], "0,1,0,1,0,1e308"),      # 1 + i kappa (a + b) = 1 + inf j
+    (["cross", "--n", "2", "--a=1e308,1e308", "--b=1e308,0"], "0,1,0,0,0,1"),
     # crossed coefficients of inf + nan j and of -inf: numpy raised on neither, and the JSON writer on the second
-    ["cross", "--n", "32", "--a=1e308,0", "--b=0,0"],
-    ["cross", "--n", "4", "--channel", "t", "--a=1e307,0", "--b=-1e308,0"],
-    ["encode", "--n", "2", "--a=1e308,0", "--b=1e308,0"],
-], ids=["partial-wave", "cross", "cross-nan", "cross-inf", "encode"])
-def test_overflow_exits_2(tmp_path, capsys, args):
+    (["cross", "--n", "32", "--a=1e308,0", "--b=0,0"], "0,1,0,0,0,1"),
+    (["cross", "--n", "4", "--channel", "t", "--a=1e307,0", "--b=-1e308,0"], "0,1,0,0,0,1"),
+    (["encode", "--n", "2", "--a=1e308,0", "--b=1e308,0"], "0,1,0,0,0,1"),
+], ids=["partial-wave", "partial-wave-norm-sq", "partial-wave-eigen", "cross", "cross-nan", "cross-inf", "encode"])
+def test_overflow_exits_2(tmp_path, capsys, args, row):
     sectors = tmp_path / "sectors.csv"
-    sectors.write_text("j,re_a,im_a,re_b,im_b,kappa\n0,1e200,0,0,0,1\n")
+    sectors.write_text(f"j,re_a,im_a,re_b,im_b,kappa\n{row}\n")
     code, text = run(tmp_path, *[arg.format(sectors=sectors) for arg in args])
     err = capsys.readouterr().err
     assert code == 2

@@ -30,9 +30,7 @@ def test_only_invariant_channels_names_the_crossing_axes():
 
 
 def test_only_the_cli_compares_a_deviation_with_a_tolerance():
-    # library checks return deviations and cli.py alone turns them into verdicts; check_partial_wave is the one
-    # exception, since its bound flags are the partial-wave payload itself
-    allowed = {"amplitude_model.py: check_partial_wave(tolerance)"}
+    # library checks return deviations and measurements; cli.py alone turns them into verdicts
     named = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "cli.py":
@@ -45,4 +43,4 @@ def test_only_the_cli_compares_a_deviation_with_a_tolerance():
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 named += [f"{path.name}: {node.name}(tolerance)" for p in params if p.arg == "tolerance"]
-    assert sorted(named) == sorted(allowed), named
+    assert not named, named
