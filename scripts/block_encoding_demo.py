@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from sun_gates.amplitude_model import AmplitudeCoefficients
-from sun_gates.cli import DIMENSION_LIMITS, _dimension_up_to, _seed
+from sun_gates.cli import DIMENSION_LIMITS, dimension_argument, seed_argument
 from sun_gates.invariant_channels import Channel, ChannelSpec
 from sun_gates.lcu_encoder import apply_with_postselection, export_circuit, plan_encoding, verify_block
 
@@ -23,11 +23,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     # the CLI's converters, so a bad value exits 2 with the CLI's message
     limit = DIMENSION_LIMITS["generators"]
-    parser.add_argument("--n", type=_dimension_up_to(limit), default=3,
+    parser.add_argument("--n", type=dimension_argument(limit), default=3,
                         help=f"qudit dimension, 2 to {limit}: the limit of the CLI commands that hold dense "
                              "N^2 x N^2 arrays, since the direct postselection check reads the dense Z")
     parser.add_argument("--channel", choices=["s", "t"], default="t")
-    parser.add_argument("--seed", type=_seed, default=1)
+    parser.add_argument("--seed", type=seed_argument, default=1)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)

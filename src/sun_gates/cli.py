@@ -77,9 +77,10 @@ EXIT_USAGE = 2
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One identity's measurement: its largest deviation, and what else it counted, if anything."""
+
     name: str
     max_deviation: float
-    passed: bool
     detail: str = ""
 
 
@@ -98,7 +99,7 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _checked(convert, accept, requirement: str):
+def checked_argument(convert, accept, requirement: str):
     """An argparse type: ``convert(text)`` when that succeeds and passes ``accept``, else a usage error."""
     def parse(text: str):
         try:
@@ -110,14 +111,14 @@ def _checked(convert, accept, requirement: str):
     return parse
 
 
-def _dimension_up_to(limit: int):
-    return _checked(int, lambda n: 2 <= n <= limit,
-                    f"qudit dimension must be an integer of at least 2 and at most {limit}")
+def dimension_argument(limit: int):
+    return checked_argument(int, lambda n: 2 <= n <= limit,
+                            f"qudit dimension must be an integer of at least 2 and at most {limit}")
 
 
-_tolerance = _checked(float, lambda t: np.isfinite(t) and t > 0,
-                      f"tolerance (--tolerance, else {ENV_TOLERANCE}) must be finite and positive")
-_seed = _checked(int, lambda s: s >= 0, "seed must be an integer of at least 0")
+_tolerance = checked_argument(float, lambda t: np.isfinite(t) and t > 0,
+                              f"tolerance (--tolerance, else {ENV_TOLERANCE}) must be finite and positive")
+seed_argument = checked_argument(int, lambda s: s >= 0, "seed must be an integer of at least 0")
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -134,15 +135,14 @@ def _crossing_deviations(coeffs: AmplitudeCoefficients):
                                                             (t_coeffs.a, t_coeffs.b))
 
 
-def identity_checks(n: int, kinds: list[Channel], tolerance: float, seed: int) -> list[CheckResult]:
-    """Run the full identity suite at dimension ``n`` for the given channels."""
+def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult]:
+    """Measure the full identity suite at dimension ``n`` for the given channels; callers judge the deviations."""
     rng = random.Random(seed)
     gens = build_generators(n)
     d = n * n
 
     def check(name, deviation, detail=""):
-        deviation = float(deviation)
-        return CheckResult(name=name, max_deviation=deviation, passed=deviation <= tolerance, detail=detail)
+        return CheckResult(name=name, max_deviation=float(deviation), detail=detail)
 
     results = [
         check("generator_hermiticity", hermiticity_deviation(gens)),
@@ -236,18 +236,18 @@ def cmd_generators(args: argparse.Namespace) -> tuple[str, bool]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
     kinds = [Channel(args.channel)] if args.channel else [Channel.S, Channel.T]
-    checks = identity_checks(args.n, kinds, args.tolerance, args.seed)
-    all_passed = all(c.passed for c in checks)
+    rows = [
+        {"name": c.name, "max_deviation": c.max_deviation, "passed": c.max_deviation <= args.tolerance,
+         **({"detail": c.detail} if c.detail else {})}
+        for c in identity_checks(args.n, kinds, args.seed)
+    ]
+    all_passed = all(row["passed"] for row in rows)
     payload = {
         "n": args.n,
         "channel": args.channel or "both",
         "tolerance": args.tolerance,
         "seed": args.seed,
-        "checks": [
-            {"name": c.name, "max_deviation": c.max_deviation, "passed": c.passed,
-             **({"detail": c.detail} if c.detail else {})}
-            for c in checks
-        ],
+        "checks": rows,
         "all_passed": all_passed,
     }
     return _json(payload), all_passed
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         # a string default goes through _tolerance; argparse converts it only when the flag is absent
         "--tolerance": dict(type=_tolerance, default=os.environ.get(ENV_TOLERANCE, DEFAULT_TOLERANCE),
                             help=f"check tolerance (default {ENV_TOLERANCE} or {DEFAULT_TOLERANCE})"),
-        "--seed": dict(type=_seed, default=0, help="seed for randomized checks (integer >= 0)"),
+        "--seed": dict(type=seed_argument, default=0, help="seed for randomized checks (integer >= 0)"),
         "--a": dict(required=True, help="coefficient of the identity gate, re,im"),
         "--b": dict(required=True, help="coefficient of the Z gate, re,im"),
         "--psi": dict(default=None, help="optional system state: N^2 comma-separated real amplitudes"),
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         if name in DIMENSION_LIMITS:
             limit = DIMENSION_LIMITS[name]
-            p.add_argument("--n", type=_dimension_up_to(limit), default=3,
+            p.add_argument("--n", type=dimension_argument(limit), default=3,
                            help=f"qudit dimension N, 2 to {limit} (default 3)")
         for flag in [*flags.split(), "--output"]:
             p.add_argument(flag, **options[flag])

@@ -270,8 +270,12 @@ def crossing_operator_deviation(n: int, s_pair: tuple[complex, complex],
     it.  Each gate's entries are summed per flat key r N^2 + c on the union of
     the supports, and both operators are evaluated there as a * I + b * Z, the
     same arithmetic as the dense matrices; every other entry is 0 - 0.
+    Raises ``ValueError`` naming the pair if either holds a nan or infinity.
     """
     n = qudit_dimension(n)
+    for name, pair in (("s_pair", s_pair), ("t_pair", t_pair)):
+        if not np.isfinite(pair).all():
+            raise ValueError(f"{name} must be finite, got {pair}")
     (a_s, b_s), (a_t, b_t) = s_pair, t_pair
     k, l = np.divmod(np.arange(n * n), n)
     diag, swap, block = (k, l, k, l), (l, k, k, l), (k, k, l, l)

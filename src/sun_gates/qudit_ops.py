@@ -32,13 +32,6 @@ class OperatorBasisDecomposition:
     corr: np.ndarray   # shape (N^2-1, N^2-1)
 
 
-def _as_four_tensor(op: np.ndarray, n: int) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (n * n, n * n):
-        raise ValueError(f"expected operator of shape ({n*n}, {n*n}), got {op.shape}")
-    return op.reshape(n, n, n, n)  # [k, l, i, j]
-
-
 def decompose(op: np.ndarray, gens: GeneratorSet) -> OperatorBasisDecomposition:
     """Project a two-qudit operator onto the generator operator basis.
 
@@ -47,9 +40,15 @@ def decompose(op: np.ndarray, gens: GeneratorSet) -> OperatorBasisDecomposition:
     left_a = (2/N) Tr(M (T^a (x) I)),
     right_a = (2/N) Tr(M (I (x) T^a)),
     corr_ab = 4 Tr(M (T^a (x) T^b)).
+    Raises ``ValueError`` unless ``op`` is an N^2 x N^2 array of finite entries.
     """
     n = gens.n
-    t4 = _as_four_tensor(op, n)
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (n * n, n * n):
+        raise ValueError(f"expected operator of shape ({n*n}, {n*n}), got {op.shape}")
+    if not np.isfinite(op).all():
+        raise ValueError("operator must be finite, got a nan or infinite entry")
+    t4 = op.reshape(n, n, n, n)  # [k, l, i, j]
     g = gens.generators
     scalar = complex(np.einsum("klkl", t4)) / (n * n)
     left = (2.0 / n) * np.einsum("klil,aik->a", t4, g)
@@ -79,16 +78,18 @@ def reconstruct(dec: OperatorBasisDecomposition, gens: GeneratorSet) -> np.ndarr
 
     Raises ``ValueError`` if ``dec`` is for another N, or naming the field if
     ``scalar`` is not a scalar or ``left``, ``right`` or ``corr`` is not of
-    shape (N^2-1,), (N^2-1,) or (N^2-1, N^2-1).
+    shape (N^2-1,), (N^2-1,) or (N^2-1, N^2-1), or holds a nan or infinite entry.
     """
     if dec.n != gens.n:
         raise ValueError(f"decomposition is for N={dec.n}, generators for N={gens.n}")
     n = gens.n
     d = len(gens)
     for name, shape in (("scalar", ()), ("left", (d,)), ("right", (d,)), ("corr", (d, d))):
-        got = np.shape(getattr(dec, name))
+        got = np.shape(value := getattr(dec, name))
         if got != shape:
             raise ValueError(f"{name} must have shape {shape} for N={n}, got {got}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got a nan or infinite entry")
     c = np.empty((d + 1, d + 1), dtype=complex)
     c[0, 0] = n * dec.scalar
     c[1:, 0] = dec.left / np.sqrt(2.0 / n)

@@ -104,18 +104,12 @@ def build_generators(n: int) -> GeneratorSet:
     """
     n = qudit_dimension(n)
     mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 0.5
-            m[j, i] = 0.5
-            mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -0.5j
-            m[j, i] = 0.5j
-            mats.append(m)
+    for upper, lower in ((0.5, 0.5), (-0.5j, 0.5j)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                m = np.zeros((n, n), dtype=complex)
+                m[i, j], m[j, i] = upper, lower
+                mats.append(m)
     for l in range(1, n):
         diag = np.zeros(n)
         diag[:l] = 1.0

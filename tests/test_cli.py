@@ -164,9 +164,11 @@ def test_encode_rejects_bad_psi_length(capsys):
     (["encode", "--n", "2", "--a=nan,0", "--b=1,0"], None),
     (["encode", "--n", "2", "--a=1,0", "--b=0,inf"], None),
     (["encode", "--n", "2", "--a=1,0", "--b=1,0", "--psi=nan,0,0,0"], None),
+    # a norm that overflows names the state, not --a and --b
+    (["encode", "--n", "2", "--a=1,0", "--b=0,0", "--psi=1e200,0,0,0"], None),
     (["verify", "--n", "2", "--tolerance", "inf"], None),
     (["verify", "--n", "2"], "inf"),
-], ids=["a", "b", "psi", "tolerance", "env-tolerance"])
+], ids=["a", "b", "psi", "psi-overflow", "tolerance", "env-tolerance"])
 def test_non_finite_input_exits_2(tmp_path, capsys, monkeypatch, args, env):
     if env is not None:
         monkeypatch.setenv("SUN_GATES_TOLERANCE", env)

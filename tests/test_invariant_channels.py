@@ -259,6 +259,17 @@ def test_crossing_map_rejects_bad_shapes():
         crossing_map(np.zeros((5, 5)))
 
 
+@pytest.mark.parametrize("s_pair, t_pair, named", [
+    ((np.nan, 0.0), (0.0, 0.0), "s_pair"),
+    ((complex(1.0, np.inf), 0.0), (0.0, 0.0), "s_pair"),
+    ((1.0, 0.0), (0.0, -np.inf), "t_pair"),
+    ((1.0, 0.0), (complex(np.nan, 1.0), 0.0), "t_pair"),
+], ids=["s-nan", "s-inf", "t-inf", "t-nan"])
+def test_crossing_operator_deviation_rejects_a_non_finite_pair(s_pair, t_pair, named):
+    with pytest.raises(ValueError, match=f"{named} must be finite"):
+        crossing_operator_deviation(2, s_pair, t_pair)
+
+
 def test_swap_matrix_is_permutation():
     for n in (2, 3, 4):
         sw = swap_matrix(n)

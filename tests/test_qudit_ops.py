@@ -159,3 +159,23 @@ def test_reconstruct_rejects_misshaped_fields(field, shape):
     dec = dataclasses.replace(decompose(np.eye(9, dtype=complex), gens), **{field: np.ones(shape)})
     with pytest.raises(ValueError, match=field):
         reconstruct(dec, gens)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)], ids=str)
+def test_decompose_rejects_a_non_finite_operator(bad):
+    gens = build_generators(3)
+    op = np.eye(9, dtype=complex)
+    op[4, 2] = bad
+    with pytest.raises(ValueError, match="operator must be finite"):
+        decompose(op, gens)
+
+
+@pytest.mark.parametrize("field", ["scalar", "left", "right", "corr"])
+def test_reconstruct_rejects_a_non_finite_field(field):
+    gens = build_generators(3)
+    dec = decompose(np.eye(9, dtype=complex), gens)
+    value = np.array(getattr(dec, field), dtype=complex)
+    value.flat[-1] = np.nan
+    dec = dataclasses.replace(dec, **{field: value if value.ndim else complex(value)})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        reconstruct(dec, gens)
