@@ -7,7 +7,6 @@ with every defining identity machine-checkable at desk scale.
 """
 
 from .amplitude_model import (
-    AmplitudeCoefficients,
     DiskSample,
     PartialWaveSector,
     amplitude_operator,
@@ -19,6 +18,7 @@ from .amplitude_model import (
 )
 from .invariant_channels import (
     CROSSING_AXES,
+    AmplitudeCoefficients,
     Channel,
     ChannelSpec,
     build_projectors,

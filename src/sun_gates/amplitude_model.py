@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariant_channels import Channel, ChannelSpec
+from .invariant_channels import AmplitudeCoefficients, Channel, ChannelSpec
 
 
 def _finite(name: str, value):
@@ -28,15 +28,6 @@ def _finite(name: str, value):
     if not cmath.isfinite(value):
         raise FloatingPointError(f"overflow encountered in {name}")
     return value
-
-
-@dataclass(frozen=True)
-class AmplitudeCoefficients:
-    """Complex pair (a, b) defining the amplitude a * identity + b * Z."""
-
-    channel: ChannelSpec
-    a: complex
-    b: complex
 
 
 def amplitude_operator(coeffs: AmplitudeCoefficients) -> np.ndarray:
@@ -125,6 +116,8 @@ class PartialWaveSector:
     kappa_j: float
 
     def __post_init__(self):
+        if not isinstance(self.j, numbers.Integral):
+            raise TypeError(f"angular momentum label j must be an integer, got {self.j!r}")
         if self.j < 0:
             raise ValueError(f"angular momentum label must be non-negative, got {self.j}")
         values = (self.a_j, self.b_j, self.kappa_j)

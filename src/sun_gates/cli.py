@@ -8,8 +8,8 @@ included (its message names the command and the input it was given).  Complex
 arguments use the shell-safe ``re,im`` syntax; a negative leading value needs
 the joined form (``--a=-1,0``, ``--psi=-0.5,...``).  The
 ``SUN_GATES_TOLERANCE`` environment variable supplies the tolerance; it is
-read and validated only when ``--tolerance`` is absent.  ``cross`` and
-``verify`` check the crossing with ``invariant_channels.crossing_operator_deviation``.
+read and validated only when ``--tolerance`` is absent.  Every crossing check
+of ``cross`` and ``verify`` runs through ``invariant_channels.crossing_operator_deviation``.
 The library's checks return deviations as floats; this module alone compares
 them with the tolerance, each by ``deviation <= tolerance``, and sets
 ``passed``, ``all_passed`` and the exit status from that.
@@ -131,8 +131,7 @@ def _crossing_deviations(coeffs: AmplitudeCoefficients):
     back = cross_coefficients(crossed)
     s_coeffs, t_coeffs = (coeffs, crossed) if coeffs.channel.kind is Channel.S else (crossed, coeffs)
     round_trip = max(abs(back.a - coeffs.a), abs(back.b - coeffs.b))
-    return crossed, round_trip, crossing_operator_deviation(coeffs.channel.n, (s_coeffs.a, s_coeffs.b),
-                                                            (t_coeffs.a, t_coeffs.b))
+    return crossed, round_trip, crossing_operator_deviation(s_coeffs, t_coeffs)
 
 
 def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult]:

@@ -33,15 +33,16 @@ regrouping crossed[(a,b),(c,d)] = op[(a,d),(b,c)]: the first outgoing leg is a
 spectator while the remaining legs are re-paired.  It was selected empirically
 (see ``select_crossing_axes``) as the unique spectator-fixing permutation
 satisfying both gate relations crossed(identity) = (N/2)(identity + charge
-parity) and crossed(swap) = identity.  ``select_crossing_axes`` and the CLI
-``verify`` suite evaluate both relations through ``crossing_row_deviations``.
-``crossing_operator_deviation`` compares crossed(a I + b S) with a' I + b' Z_t
-on the O(N^2) entries the two hold; no other module reads ``CROSSING_AXES``
-or the entries of Z_t.
+parity) and crossed(swap) = identity.  Every crossing identity is one call of
+``crossing_operator_deviation``, which compares crossed(a I + b S) of an
+s-channel ``AmplitudeCoefficients`` with a' I + b' Z_t of a t-channel one on
+the O(N^2) entries the two hold; no other module reads ``CROSSING_AXES`` or
+the entries of Z_t.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,6 +127,20 @@ class ChannelSpec:
         out = -psi
         out[::n + 1] += (2.0 / n) * psi[::n + 1].sum()
         return out
+
+
+@dataclass(frozen=True)
+class AmplitudeCoefficients:
+    """Complex pair (a, b) defining the amplitude a * identity + b * Z; ``ValueError`` names a nan or inf one."""
+
+    channel: ChannelSpec
+    a: complex
+    b: complex
+
+    def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient {name} must be finite, got {value}")
 
 
 def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -252,34 +267,30 @@ def crossing_map(op: np.ndarray) -> np.ndarray:
 
 def crossing_row_deviations(s: ChannelSpec, t: ChannelSpec,
                             axes: tuple[int, ...] = CROSSING_AXES) -> tuple[float, float]:
-    """Max deviations |crossed(I) - (N/2)(I + Z_t)| and |crossed(SWAP) - I| under the regrouping ``axes``."""
-    n, eye = s.n, s.s_identity
-    return (float(np.abs(_regroup(eye, axes) - (n / 2.0) * (eye + t.z_gate)).max()),
-            float(np.abs(_regroup(s.z_gate, axes) - eye).max()))
+    """Max deviations |crossed(I) - (N/2)(I + Z_t)| and |crossed(SWAP) - I| under ``axes``, by ``crossing_operator_deviation``."""
+    half = s.n / 2.0
+    return (crossing_operator_deviation(AmplitudeCoefficients(s, 1.0, 0.0), AmplitudeCoefficients(t, half, half), axes),
+            crossing_operator_deviation(AmplitudeCoefficients(s, 0.0, 1.0), AmplitudeCoefficients(t, 1.0, 0.0), axes))
 
 
-def crossing_operator_deviation(n: int, s_pair: tuple[complex, complex],
-                                t_pair: tuple[complex, complex]) -> float:
-    """max |crossing_map(M_s) - M_t| over all N^4 entries, read from the O(N^2) entries the two hold.
+def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficients,
+                                axes: tuple[int, ...] = CROSSING_AXES) -> float:
+    """max |crossed(M_s) - M_t| over all N^4 entries, read from the O(N^2) entries the two hold.
 
-    ``s_pair`` is the (a, b) of M_s = a I + b S and ``t_pair`` the (a', b') of
-    M_t = a' I + b' Z_t.  With (k, l) over all N^2 pairs, M_s is nonzero at
-    the diagonal (k,l,k,l) and the swap positions (l,k,k,l); M_t, with
-    Z_t = (2/N)|vec I><vec I| - I, at the diagonal and the block (k,k,l,l).
-    The M_s support goes through ``CROSSING_AXES`` as ``crossing_map`` moves
-    it.  Each gate's entries are summed per flat key r N^2 + c on the union of
-    the supports, and both operators are evaluated there as a * I + b * Z, the
-    same arithmetic as the dense matrices; every other entry is 0 - 0.
-    Raises ``ValueError`` naming the pair if either holds a nan or infinity.
+    ``s`` is M_s = a I + b S and ``t`` is M_t = a' I + b' Z_t of one N; ``ValueError`` names any other
+    pair of channels, or ``axes`` unless it permutes the four legs.  M_s is nonzero at (k,l,k,l) and
+    (l,k,k,l), which ``axes`` moves as ``crossing_map`` moves them by ``CROSSING_AXES``; M_t at (k,l,k,l)
+    and (k,k,l,l).  Each gate's entries are summed per flat key r N^2 + c on the union of the supports
+    and evaluated there as a * I + b * Z, the dense arithmetic; every other entry is 0 - 0.
     """
-    n = qudit_dimension(n)
-    for name, pair in (("s_pair", s_pair), ("t_pair", t_pair)):
-        if not np.isfinite(pair).all():
-            raise ValueError(f"{name} must be finite, got {pair}")
-    (a_s, b_s), (a_t, b_t) = s_pair, t_pair
+    if (s.channel.kind, t.channel.kind, t.channel.n) != (Channel.S, Channel.T, s.channel.n):
+        raise ValueError(f"expected the s and t channel of one N, got {s.channel} and {t.channel}")
+    if sorted(axes) != [0, 1, 2, 3]:
+        raise ValueError(f"axes must permute the four legs (0, 1, 2, 3), got {axes!r}")
+    n = s.channel.n
     k, l = np.divmod(np.arange(n * n), n)
     diag, swap, block = (k, l, k, l), (l, k, k, l), (k, k, l, l)
-    crossed_diag, crossed_swap = ([x[axis] for axis in CROSSING_AXES] for x in (diag, swap))
+    crossed_diag, crossed_swap = ([x[axis] for axis in axes] for x in (diag, swap))
     # (gate, support, entry): crossed I, crossed S, then I and Z_t of the t channel
     gate, support, entry = zip((0, crossed_diag, 1.0), (1, crossed_swap, 1.0),
                                (2, diag, 1.0), (3, diag, -1.0), (3, block, 2.0 / n))
@@ -288,8 +299,8 @@ def crossing_operator_deviation(n: int, s_pair: tuple[complex, complex],
     weights = np.zeros((4, union.size))
     np.add.at(weights, (np.repeat(gate, n * n), where), np.repeat(entry, n * n))
     eye_s, swap_s, eye_t, z_t = weights
-    m_s = a_s * eye_s + b_s * swap_s
-    m_t = a_t * eye_t + b_t * z_t
+    m_s = s.a * eye_s + s.b * swap_s
+    m_t = t.a * eye_t + t.b * z_t
     return float(np.abs(m_s - m_t).max())
 
 

@@ -24,7 +24,6 @@ it holds no N^2 x N^2 array.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Any
 
@@ -82,14 +81,10 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
     Raises
     ------
     ValueError
-        If a coefficient is nan or infinite, or if both vanish, which leaves
-        the encoding undefined.
+        If both coefficients vanish, which leaves the encoding undefined.
     OverflowError
         If alpha of two finite coefficients exceeds the float range.
     """
-    for name, value in (("a", coeffs.a), ("b", coeffs.b)):
-        if not cmath.isfinite(value):
-            raise ValueError(f"coefficient {name} must be finite, got {value}")
     abs_a, abs_b = abs(coeffs.a), abs(coeffs.b)
     alpha = abs_a + abs_b
     if alpha == 0.0:

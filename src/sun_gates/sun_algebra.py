@@ -27,7 +27,7 @@ class GeneratorSet:
     Attributes
     ----------
     n : int
-        Qudit dimension N >= 2.
+        Qudit dimension N >= 2 (see ``qudit_dimension``).
     generators : np.ndarray
         Complex array of shape (N^2 - 1, N, N); ``generators[a]`` is T^a.
         Read-only after construction.
@@ -37,6 +37,7 @@ class GeneratorSet:
     generators: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", qudit_dimension(self.n))
         d = self.n * self.n - 1
         if self.generators.shape != (d, self.n, self.n):
             raise ValueError(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -100,6 +102,15 @@ def test_cross_coefficients_overflow_raises(kind, n, a, b):
     # Python complex arithmetic overflows to inf or nan without raising; the crossing must not hand that back
     with pytest.raises(FloatingPointError, match="overflow encountered in cross_coefficients"):
         cross_coefficients(AmplitudeCoefficients(ChannelSpec(kind, n), a, b))
+
+
+def test_non_finite_coefficients_are_named_where_the_amplitude_is_built():
+    # a nan is bad input, not an overflow of the crossing, and no parameterization hands one back
+    spec = ChannelSpec(Channel.S, 3)
+    with pytest.raises(ValueError, match="coefficient a must be finite, got nan"):
+        cross_coefficients(AmplitudeCoefficients(spec, float("nan"), 0.0))
+    with pytest.raises(ValueError, match="coefficient a must be finite"):
+        unitary_parameterization(float("nan"), 0.0, spec)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -228,6 +239,13 @@ def test_partial_wave_sector_validation():
         PartialWaveSector(j=-1, a_j=0.0, b_j=0.0, kappa_j=1.0)
     with pytest.raises(ValueError):
         PartialWaveSector(j=0, a_j=0.0, b_j=0.0, kappa_j=0.0)
+
+
+@pytest.mark.parametrize("j", [1.5, 2.0, "1"])
+def test_partial_wave_sector_rejects_a_non_integer_j(j):
+    # an angular momentum label is an integer, as disk_samples' resolution is
+    with pytest.raises(TypeError, match=f"j must be an integer, got {re.escape(repr(j))}"):
+        PartialWaveSector(j=j, a_j=0.1, b_j=0.1, kappa_j=1.0)
 
 
 def test_disk_samples_geometry():

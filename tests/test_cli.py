@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -540,6 +541,16 @@ def test_readme_command_table_matches_the_parser(capsys):
         assert f"at most {limit}," in capsys.readouterr().err
 
 
+def test_readme_library_sketch_runs():
+    # the README's python block is the library's calling convention on show; it must run as printed
+    root = Path(__file__).resolve().parent.parent
+    sketch, = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", sketch], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def count_calls(monkeypatch, *names):
     """Wrap each named function wherever a ``sun_gates`` module binds it; return the live call counts."""
     calls = Counter()
@@ -691,8 +702,9 @@ coefficient = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 8), kind=st.sampled_from(list(Channel)), a=coefficient, b=coefficient,
-       other=st.tuples(coefficient, coefficient))
-def test_crossing_deviation_matches_the_dense_operators(n, kind, a, b, other):
+       other=st.tuples(coefficient, coefficient),
+       axes=st.sampled_from([(0, *tail) for tail in itertools.permutations((1, 2, 3))]))
+def test_crossing_deviation_matches_the_dense_operators(n, kind, a, b, other, axes):
     # the dense crossing_map(M_s) - M_t over all N^4 entries is the oracle of the support-based check
     def dense(s_coeffs, t_coeffs):
         return np.abs(crossing_map(amplitude_operator(s_coeffs)) - amplitude_operator(t_coeffs)).max()
@@ -701,10 +713,12 @@ def test_crossing_deviation_matches_the_dense_operators(n, kind, a, b, other):
     crossed, _, deviation = cli._crossing_deviations(coeffs)
     s_coeffs, t_coeffs = (coeffs, crossed) if kind is Channel.S else (crossed, coeffs)
     assert abs(deviation - dense(s_coeffs, t_coeffs)) <= 1e-15
-    # an unrelated t-channel pair leaves O(1) entries on both supports, so each entry is pinned, not only a zero
+    # an unrelated t-channel pair leaves O(1) entries on both supports, so each entry is pinned, not only a zero;
+    # every spectator-fixing regrouping is pinned too, since select_crossing_axes reads each through the supports
     unrelated = AmplitudeCoefficients(t_coeffs.channel, *other)
-    expected = dense(s_coeffs, unrelated)
-    deviation = crossing_operator_deviation(n, (s_coeffs.a, s_coeffs.b), other)
+    moved = np.transpose(amplitude_operator(s_coeffs).reshape(n, n, n, n), axes).reshape(n * n, n * n)
+    expected = np.abs(moved - amplitude_operator(unrelated)).max()
+    deviation = crossing_operator_deviation(s_coeffs, unrelated, axes)
     assert abs(deviation - expected) <= 1e-15 * max(1.0, expected)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sun_gates.invariant_channels import (
     CROSSING_AXES,
+    AmplitudeCoefficients,
     Channel,
     ChannelSpec,
     build_projectors,
@@ -45,7 +46,7 @@ def test_channel_spec_validation():
         ChannelSpec("s", 3)
     # one N rule for every library entry that takes N
     for make in (lambda n: ChannelSpec(Channel.T, n), build_generators, singlet_state,
-                 lambda n: crossing_operator_deviation(n, (1.0, 0.0), (1.0, 0.0))):
+                 lambda n: GeneratorSet(n=n, generators=build_generators(3).generators.copy())):
         with pytest.raises(ValueError, match="at least 2, got 1"):
             make(1)
         # a float N fails here with its value named, not deep in np.eye, z_gate or apply_z
@@ -259,15 +260,38 @@ def test_crossing_map_rejects_bad_shapes():
         crossing_map(np.zeros((5, 5)))
 
 
-@pytest.mark.parametrize("s_pair, t_pair, named", [
-    ((np.nan, 0.0), (0.0, 0.0), "s_pair"),
-    ((complex(1.0, np.inf), 0.0), (0.0, 0.0), "s_pair"),
-    ((1.0, 0.0), (0.0, -np.inf), "t_pair"),
-    ((1.0, 0.0), (complex(np.nan, 1.0), 0.0), "t_pair"),
+@pytest.mark.parametrize("kind, a, b, named", [
+    (Channel.S, np.nan, 0.0, "a"),
+    (Channel.S, complex(1.0, np.inf), 0.0, "a"),
+    (Channel.T, 0.0, -np.inf, "b"),
+    (Channel.T, complex(np.nan, 1.0), 0.0, "a"),
 ], ids=["s-nan", "s-inf", "t-inf", "t-nan"])
-def test_crossing_operator_deviation_rejects_a_non_finite_pair(s_pair, t_pair, named):
-    with pytest.raises(ValueError, match=f"{named} must be finite"):
-        crossing_operator_deviation(2, s_pair, t_pair)
+def test_crossing_operator_deviation_rejects_a_non_finite_pair(kind, a, b, named):
+    # no amplitude holds a nan or inf: its constructor names the coefficient, so no crossing can read one
+    with pytest.raises(ValueError, match=f"coefficient {named} must be finite"):
+        AmplitudeCoefficients(ChannelSpec(kind, 2), a, b)
+
+
+@pytest.mark.parametrize("s, t", [
+    (ChannelSpec(Channel.T, 3), ChannelSpec(Channel.S, 3)),
+    (ChannelSpec(Channel.S, 3), ChannelSpec(Channel.T, 4)),
+    (ChannelSpec(Channel.S, 3), ChannelSpec(Channel.S, 3)),
+], ids=["swapped", "mismatched-n", "two-s"])
+def test_crossing_rejects_a_swapped_or_mismatched_pair(s, t):
+    # the s-channel amplitude comes first and both share one N; anything else is named, not measured
+    message = re.escape(f"got {s} and {t}")
+    with pytest.raises(ValueError, match=message):
+        crossing_row_deviations(s, t)
+    with pytest.raises(ValueError, match=message):
+        crossing_operator_deviation(AmplitudeCoefficients(s, 1.0, 0.0), AmplitudeCoefficients(t, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("axes", [(0, 0, 1, 2), (0, 2, 1), (0, 2, 3, 4)])
+def test_crossing_rejects_axes_that_do_not_permute_the_legs(axes):
+    # a repeated or missing leg would move the supports to a regrouping no operator has
+    s, t = ChannelSpec(Channel.S, 3), ChannelSpec(Channel.T, 3)
+    with pytest.raises(ValueError, match=re.escape(f"permute the four legs (0, 1, 2, 3), got {axes!r}")):
+        crossing_row_deviations(s, t, axes)
 
 
 def test_swap_matrix_is_permutation():
