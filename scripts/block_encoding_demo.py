@@ -39,7 +39,7 @@ def main():
 
     print(f"channel {args.channel}, N={args.n}")
     print(f"a = {a:.4f}, b = {b:.4f}, alpha = {plan.alpha:.4f}, gamma = {plan.gamma:.4f}")
-    report = verify_block(plan, coeffs)
+    report = verify_block(plan)
     passed = max(report.block_identity_deviation, report.w_unitarity_deviation) <= 1e-12
     print(f"block identity deviation: {report.block_identity_deviation:.2e} (pass: {passed})")
     print(f"W unitarity deviation:    {report.w_unitarity_deviation:.2e}")

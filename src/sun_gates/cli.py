@@ -93,7 +93,10 @@ def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"complex values use the re,im syntax, got {text!r}")
-    value = complex(float(parts[0]), float(parts[1]))
+    try:
+        value = complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        raise ValueError(f"complex values use the re,im syntax with two real numbers, got {text!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"complex value must be finite, got {text!r}")
     return value
@@ -203,7 +206,7 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
     bits = np.frombuffer(rng.randbytes(16 * d * d), dtype="<u8") >> 11
     real, imag = (bits * 2.0 ** -52 - 1.0).reshape(2, d, d)
     op = real + 1j * imag
-    results.append(check("decompose_round_trip", _max_abs(reconstruct(decompose(op, gens), gens) - op)))
+    results.append(check("decompose_round_trip", _max_abs(reconstruct(decompose(op, gens)) - op)))
     return results
 
 
@@ -256,14 +259,16 @@ def cmd_encode(args: argparse.Namespace) -> tuple[str, bool]:
     n, d = args.n, args.n ** 2
     psi = None
     if args.psi is not None:
-        values = [float(part) for part in args.psi.split(",")]
+        try:
+            values = [float(part) for part in args.psi.split(",")]
+        except ValueError:
+            raise ValueError(f"psi must be {d} comma-separated real amplitudes for N={n}, got {args.psi!r}") from None
         if len(values) != d:
             raise ValueError(f"psi must have {d} amplitudes for N={n}, got {len(values)}")
         psi = np.array(values, dtype=complex)
     channel = ChannelSpec(Channel(args.channel or "s"), n)
-    coeffs = AmplitudeCoefficients(channel, parse_complex(args.a), parse_complex(args.b))
-    plan = plan_encoding(coeffs)
-    report = verify_block(plan, coeffs)
+    plan = plan_encoding(AmplitudeCoefficients(channel, parse_complex(args.a), parse_complex(args.b)))
+    report = verify_block(plan)
     all_passed = max(report.block_identity_deviation, report.w_unitarity_deviation) <= args.tolerance
     payload = {
         "circuit": export_circuit(plan),

@@ -138,6 +138,8 @@ class AmplitudeCoefficients:
     b: complex
 
     def __post_init__(self):
+        if not isinstance(self.channel, ChannelSpec):
+            raise TypeError(f"channel must be a ChannelSpec, got {self.channel!r}")
         for name, value in (("a", self.a), ("b", self.b)):
             if not cmath.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite, got {value}")

@@ -17,9 +17,10 @@ sign conventions change only unobservable phases; the block identity
 The circuit is always four gates and one ancilla, independent of N; it is
 the single definition of W.  Since Z^2 = I, it replays in the Z2 algebra to a
 2x2 pair (A, B) with W = A (x) I + B (x) Z, and only ``build_w`` forms W.
-Every function reads the channel, and so Z, from the plan.  Postselection
-needs Z only as an action on the system register, ``ChannelSpec.apply_z``, so
-it holds no N^2 x N^2 array.
+A plan keeps the ``AmplitudeCoefficients`` it was planned from, so every
+function takes the plan alone and reads the amplitude, its channel and so Z
+from it.  Postselection needs Z only as an action on the system register,
+``ChannelSpec.apply_z``, so it holds no N^2 x N^2 array.
 """
 
 from __future__ import annotations
@@ -30,19 +31,22 @@ from typing import Any
 import numpy as np
 
 from .amplitude_model import AmplitudeCoefficients
-from .invariant_channels import ChannelSpec
 from .sun_algebra import DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
 class BlockEncodingPlan:
-    """Normalization, mixing angle, and phases of the ancilla circuit."""
+    """The amplitude encoded, and the normalization, mixing angle, and phases of its ancilla circuit."""
 
-    channel: ChannelSpec
+    amplitude: AmplitudeCoefficients
     alpha: float
     gamma: float
     phi_a: float
     phi_b: float
+
+    def __post_init__(self):
+        if not isinstance(self.amplitude, AmplitudeCoefficients):
+            raise TypeError(f"amplitude must be an AmplitudeCoefficients, got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -94,34 +98,27 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
     gamma = float(np.arccos(min(1.0, np.sqrt(abs_a / alpha))))
     phi_a = float(np.angle(coeffs.a)) if abs_a > 0.0 else 0.0
     phi_b = float(np.angle(coeffs.b)) if abs_b > 0.0 else 0.0
-    return BlockEncodingPlan(channel=coeffs.channel, alpha=alpha, gamma=gamma, phi_a=phi_a, phi_b=phi_b)
+    return BlockEncodingPlan(amplitude=coeffs, alpha=alpha, gamma=gamma, phi_a=phi_a, phi_b=phi_b)
 
 
 def build_w(plan: BlockEncodingPlan) -> np.ndarray:
     """Assemble the dense ancilla-system unitary W = A (x) I + B (x) Z from the replayed circuit."""
     a, b = _run_circuit(export_circuit(plan))
-    return np.kron(a, plan.channel.s_identity) + np.kron(b, plan.channel.z_gate)
+    return np.kron(a, plan.amplitude.channel.s_identity) + np.kron(b, plan.amplitude.channel.z_gate)
 
 
-def verify_block(plan: BlockEncodingPlan, coeffs: AmplitudeCoefficients) -> BlockEncodingReport:
-    """Deviations of the plan's circuit from the amplitude a * identity + b * Z, on 2x2 arrays alone.
+def verify_block(plan: BlockEncodingPlan) -> BlockEncodingReport:
+    """Deviations of the plan's circuit from its amplitude a * identity + b * Z, on 2x2 arrays alone.
 
     With W = A (x) I + B (x) Z, the top-left block is A_00 I + B_00 Z, so the
     block identity deviation is max(|A_00 - a / alpha|, |B_00 - b / alpha|).
     Z = P+ - P- is a Hermitian involution, so W = W+ (x) P+ + W- (x) P- with
     W+- = A +- B, and the unitarity deviation is max over +- of |W+-^dagger W+- - I|.
-
-    Raises
-    ------
-    ValueError
-        If the plan and the coefficients are for different channels.
     """
-    if plan.channel != coeffs.channel:
-        raise ValueError(f"plan is for {plan.channel}, coefficients for {coeffs.channel}")
     a, b = _run_circuit(export_circuit(plan))
     # divide re and im apart: complex division multiplies by 1 / alpha, which overflows for a subnormal alpha
     block = max(abs(top - complex(c.real / plan.alpha, c.imag / plan.alpha))
-                for top, c in ((a[0, 0], coeffs.a), (b[0, 0], coeffs.b)))
+                for top, c in ((a[0, 0], plan.amplitude.a), (b[0, 0], plan.amplitude.b)))
     unitarity = max(float(np.abs(w.conj().T @ w - np.eye(2)).max()) for w in (a + b, a - b))
     return BlockEncodingReport(block_identity_deviation=float(block), w_unitarity_deviation=unitarity)
 
@@ -134,7 +131,7 @@ def apply_with_postselection(plan: BlockEncodingPlan, psi: np.ndarray) -> Postse
     normalized, realizing the amplitude on the system register.
     """
     psi = np.asarray(psi, dtype=complex)
-    d = plan.channel.n ** 2
+    d = plan.amplitude.channel.n ** 2
     if psi.shape != (d,):
         raise ValueError(f"expected a state vector of length {d}, got shape {psi.shape}")
     with np.errstate(over="ignore"):  # a norm that overflows is inf, which the check rejects
@@ -142,7 +139,7 @@ def apply_with_postselection(plan: BlockEncodingPlan, psi: np.ndarray) -> Postse
     if not abs(norm - 1.0) <= DEFAULT_TOLERANCE:
         raise ValueError(f"input state must be normalized and finite, got norm {norm}")
     a, b = _run_circuit(export_circuit(plan))
-    branch = a[0, 0] * psi + b[0, 0] * plan.channel.apply_z(psi)
+    branch = a[0, 0] * psi + b[0, 0] * plan.amplitude.channel.apply_z(psi)
     probability = float(np.linalg.norm(branch) ** 2)
     annihilated = probability <= 1e-24
     state = np.zeros(d, dtype=complex) if annihilated else branch / np.linalg.norm(branch)
@@ -158,8 +155,8 @@ def export_circuit(plan: BlockEncodingPlan) -> dict[str, Any]:
     """
     return {
         "version": 1,
-        "n": plan.channel.n,
-        "channel": plan.channel.kind.value,
+        "n": plan.amplitude.channel.n,
+        "channel": plan.amplitude.channel.kind.value,
         "alpha": plan.alpha,
         "gates": [
             {"name": "ry", "target": "ancilla", "theta": 2.0 * plan.gamma},

@@ -226,7 +226,7 @@ def test_criterion_7_block_encoding():
                 w = build_w(plan)
                 m = amplitude_operator(coeffs)
                 # the dense W and the library's 2x2 report must both hold
-                encoded = verify_block(plan, coeffs)
+                encoded = verify_block(plan)
                 d = n * n
                 worst_block = max(worst_block, float(np.abs(w[:d, :d] - m / plan.alpha).max()),
                                   encoded.block_identity_deviation)

@@ -113,6 +113,13 @@ def test_non_finite_coefficients_are_named_where_the_amplitude_is_built():
         unitary_parameterization(float("nan"), 0.0, spec)
 
 
+@pytest.mark.parametrize("channel", ["s", Channel.S, 2, None], ids=str)
+def test_amplitude_rejects_a_channel_that_is_no_channel_spec(channel):
+    # named where the amplitude is built, not as an AttributeError deep in the crossing or the encoder
+    with pytest.raises(TypeError, match=f"channel must be a ChannelSpec, got {re.escape(repr(channel))}"):
+        AmplitudeCoefficients(channel, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 @given(a=coefficients, b=coefficients)
 def test_cross_coefficients_round_trip(n, a, b):

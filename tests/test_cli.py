@@ -179,6 +179,24 @@ def test_non_finite_input_exits_2(tmp_path, capsys, monkeypatch, args, env):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["encode", "--n", "2", "--a=abc,0", "--b=0,0"],
+     "complex values use the re,im syntax with two real numbers, got 'abc,0'"),
+    (["encode", "--n", "2", "--a=1,0", "--b=0,0", "--psi=abc,0,0,0"],
+     "psi must be 4 comma-separated real amplitudes for N=2, got 'abc,0,0,0'"),
+    (["cross", "--n", "2", "--a=1,0", "--b=0,xyz"],
+     "complex values use the re,im syntax with two real numbers, got '0,xyz'"),
+    (["encode", "--n", "2", "--a=1,0", "--b=0,0", "--psi="],
+     "psi must be 4 comma-separated real amplitudes for N=2, got ''"),
+], ids=["a", "psi", "cross-b", "empty-psi"])
+def test_non_numeric_input_is_named(tmp_path, capsys, args, message):
+    # the whole value is quoted with the rule it breaks, not only float()'s complaint about one part
+    code, text = run(tmp_path, *args)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cross_reference_points(tmp_path):
     code, data = run_json(tmp_path, "cross", "--a", "1,0", "--b", "0,0", "--n", "2", "--channel", "s")
     assert code == 0
@@ -482,7 +500,7 @@ def test_failed_block_check_exits_1_with_strict_json(tmp_path):
     # the library returns Python floats, which json and `is` comparisons take as they are
     assert type(verify_completeness(build_generators(2))) is float
     coeffs = AmplitudeCoefficients(ChannelSpec(Channel.S, 2), 1.0, 1.0)
-    report = verify_block(plan_encoding(coeffs), coeffs)
+    report = verify_block(plan_encoding(coeffs))
     assert type(report.block_identity_deviation) is float and type(report.w_unitarity_deviation) is float
 
 

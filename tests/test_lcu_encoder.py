@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
 from sun_gates.invariant_channels import Channel, ChannelSpec, build_projectors
 from sun_gates.lcu_encoder import (
+    BlockEncodingPlan,
     apply_with_postselection,
     build_w,
     export_circuit,
@@ -85,6 +88,16 @@ def test_plan_rejects_non_finite_coefficient(a, b, named):
         plan_encoding(AmplitudeCoefficients(channel_setup(2), a, b))
 
 
+@pytest.mark.parametrize("amplitude", ["s", ChannelSpec(Channel.S, 2), (1.0, 0.0)], ids=["str", "spec", "tuple"])
+def test_plan_rejects_an_amplitude_that_is_no_amplitude_coefficients(amplitude):
+    # a plan is the encoding of one amplitude, which every function reads from it
+    message = f"amplitude must be an AmplitudeCoefficients, got {re.escape(repr(amplitude))}"
+    with pytest.raises(TypeError, match=message):
+        BlockEncodingPlan(amplitude, 1.0, 0.1, 0.0, 0.0)
+    coeffs = AmplitudeCoefficients(channel_setup(2), 0.3, -0.4j)
+    assert plan_encoding(coeffs).amplitude is coeffs
+
+
 def test_plan_overflow_of_finite_coefficients():
     with pytest.raises(OverflowError, match="overflows"):
         plan_encoding(AmplitudeCoefficients(channel_setup(2), 1e308, 1e308))
@@ -155,7 +168,7 @@ def test_block_identity_random_amplitudes(n, kind):
         w = build_w(plan)
         m = amplitude_operator(coeffs)
         assert np.abs(w[:n * n, :n * n] - m / plan.alpha).max() <= 1e-12
-        report = verify_block(plan, coeffs)
+        report = verify_block(plan)
         assert max(report.block_identity_deviation, report.w_unitarity_deviation) <= 1e-12, report
 
 
@@ -173,26 +186,18 @@ def test_replayed_w_matches_dense_formula(n, kind):
 
 def off_angle(plan):
     """The plan with its mixing angle moved by 0.1: W stays unitary, its block is wrong."""
-    return type(plan)(channel=plan.channel, alpha=plan.alpha, gamma=plan.gamma + 0.1,
-                      phi_a=plan.phi_a, phi_b=plan.phi_b)
+    return dataclasses.replace(plan, gamma=plan.gamma + 0.1)
 
 
 def test_verify_block_trivial_and_corrupted():
     spec = channel_setup(2)
     identity = AmplitudeCoefficients(spec, 1.0, 0.0)
-    eye_block = verify_block(plan_encoding(identity), identity)
+    eye_block = verify_block(plan_encoding(identity))
     assert eye_block.block_identity_deviation == 0.0 and eye_block.w_unitarity_deviation == 0.0
     coeffs = AmplitudeCoefficients(spec, 0.3 + 0.1j, 0.7)
-    report = verify_block(off_angle(plan_encoding(coeffs)), coeffs)
+    report = verify_block(off_angle(plan_encoding(coeffs)))
     assert report.block_identity_deviation > 1e-3
     assert report.w_unitarity_deviation <= 1e-12
-
-
-def test_verify_block_channel_mismatch():
-    spec = channel_setup(2)
-    plan = plan_encoding(AmplitudeCoefficients(spec, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        verify_block(plan, AmplitudeCoefficients(ChannelSpec(Channel.T, 2), 1.0, 0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,7 +218,7 @@ def test_z2_replay_matches_dense_w(ab, n, kind):
         w = dense_w(spec, 2.0 * candidate.gamma, candidate.phi_a, candidate.phi_b)
         dense_block = np.abs(w[:d, :d] - m / plan.alpha).max() <= 1e-12
         dense_unitary = np.abs(w.conj().T @ w - eye).max() <= 1e-12
-        report = verify_block(candidate, coeffs)
+        report = verify_block(candidate)
         assert (report.block_identity_deviation <= 1e-12) == dense_block == good
         assert (report.w_unitarity_deviation <= 1e-12) == dense_unitary
         assert report.w_unitarity_deviation <= 1e-12
@@ -226,7 +231,7 @@ def test_verify_block_at_subnormal_alpha():
     plan = plan_encoding(coeffs)
     assert plan.alpha == 1e-323
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        report = verify_block(plan, coeffs)
+        report = verify_block(plan)
     assert max(report.block_identity_deviation, report.w_unitarity_deviation) <= 1e-12
 
 
