@@ -6,10 +6,12 @@ import itertools
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sun_gates import cli
+from sun_gates import invariant_channels as channels
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
 from sun_gates.cli import DIMENSION_LIMITS, build_parser, main, parse_complex
 from sun_gates.invariant_channels import Channel, ChannelSpec, crossing_map, crossing_operator_deviation
 from sun_gates.lcu_encoder import plan_encoding, verify_block
-from sun_gates.sun_algebra import build_generators, verify_completeness
+from sun_gates.sun_algebra import GeneratorSet, build_generators, verify_completeness
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -106,15 +109,108 @@ def test_verify_swap_is_permutation_at_n2(tmp_path):
     assert swap["max_deviation"] == 0.0
 
 
-def test_verify_swap_action_catches_a_wrong_swap(tmp_path, monkeypatch):
-    # the s-channel gates are built from swap_matrix, so swap_action must not compare against it
-    import sun_gates.invariant_channels as channels
+def fault(owner, name, wrap):
+    """A fault to install with monkeypatch: ``owner.name`` becomes ``wrap`` of the original."""
+    def install(monkeypatch):
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    return install
 
-    monkeypatch.setattr(channels, "swap_matrix", lambda n: np.eye(n * n, dtype=complex))
-    code, data = run_json(tmp_path, "verify", "--n", "3", "--channel", "s")
+
+def result_fault(owner, name, change):
+    """A fault: ``owner.name`` returns ``change`` of what it returned."""
+    return fault(owner, name, lambda original: lambda *args: change(original(*args)))
+
+
+def generator_fault(a, scale=1.0, shift=0.0):
+    """A fault: the generators ``verify`` builds have T^a replaced by scale T^a + shift I."""
+    def change(gens):
+        mats = gens.generators.copy()
+        mats[a] = scale * mats[a] + shift * np.eye(gens.n)
+        return GeneratorSet(n=gens.n, generators=mats)
+    return result_fault(cli, "build_generators", change)
+
+
+scaled_t0 = generator_fault(0, scale=1.01)
+doubled_p_plus = result_fault(cli, "build_projectors", lambda pair: (2.0 * pair[0], pair[1]))
+p_minus_as_p_plus = result_fault(cli, "build_projectors", lambda pair: (pair[0], pair[0]))
+scaled_z, phased_z = (result_fault(ChannelSpec.__dict__["z_gate"], "func", lambda z, c=c: c * z) for c in (1.01, 1j))
+wrong_axes = fault(cli, "crossing_row_deviations", lambda rows: lambda s, t: rows(s, t, (0, 1, 2, 3)))
+scaled_crossed_b = result_fault(cli, "cross_coefficients", lambda crossed: replace(crossed, b=1.01 * crossed.b))
+
+#: One fault per check that ``verify`` runs; that check must report it
+FAULTS = {
+    "generator_hermiticity": generator_fault(0, scale=1j),
+    "generator_tracelessness": generator_fault(-1, shift=0.01),
+    "generator_orthonormality": scaled_t0,
+    "completeness_identity": scaled_t0,
+    **{f"{check}[{tag}]": installer for tag in "st" for check, installer in [
+        ("projector_idempotence", doubled_p_plus),
+        ("projector_orthogonality", p_minus_as_p_plus),
+        ("projector_completeness", p_minus_as_p_plus),
+        ("projector_traces", doubled_p_plus),
+        ("projector_generator_form", doubled_p_plus),
+        ("gate_unitarity", scaled_z),
+        ("gate_involution", phased_z),
+        ("gate_hermiticity", phased_z),
+    ]},
+    # the s-channel Z is swap_matrix itself, so swap_action must not compare against it
+    "swap_action": result_fault(channels, "swap_matrix", lambda swap: np.eye(len(swap), dtype=complex)),
+    "u_spectrum": scaled_z,
+    # X read with the s-channel pairing sum_a T^a (x) T^a
+    "u_exponential_form": fault(channels, "charge_parity_bilinear",
+                                lambda _: lambda gens: sum(np.kron(t, t) for t in gens)),
+    "crossing_row_identity": wrong_axes,
+    "crossing_row_swap": wrong_axes,
+    "crossing_coefficient_round_trip": scaled_crossed_b,
+    "crossing_operator_consistency": scaled_crossed_b,
+    "decompose_round_trip": result_fault(cli, "decompose", lambda dec: replace(dec, corr=dec.corr.T)),
+}
+
+
+def verify_stdout(capsys, *args):
+    """Run ``verify`` on stdout; return its exit status and strict-JSON payload, with stderr empty."""
+    code = main(["verify", *args])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, _strict_json(out)
+
+
+with contextlib.redirect_stdout(io.StringIO()) as clean:
+    assert main(["verify", "--n", "3"]) == 0
+#: The check names of a clean ``verify`` payload, in its order
+CHECK_NAMES = [row["name"] for row in json.loads(clean.getvalue())["checks"]]
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_check_catches_a_fault(capsys, monkeypatch, name):
+    # a check with no fault case fails here, so every new check brings the fault it catches
+    assert name in FAULTS, f"no fault case for the check {name}"
+    FAULTS[name](monkeypatch)
+    code, payload = verify_stdout(capsys, "--n", "3")
+    row = next(row for row in payload["checks"] if row["name"] == name)
+    assert code == 1 and not payload["all_passed"]
+    assert row["max_deviation"] > 1e-6
+
+
+def test_a_generator_fault_fails_a_check_instead_of_exiting_2(capsys, monkeypatch):
+    # the library measures a wrong construction; only a usage or input error exits 2
+    scaled_t0(monkeypatch)
+    code, payload = verify_stdout(capsys, "--n", "4")
+    row = next(row for row in payload["checks"] if row["name"] == "u_exponential_form")
     assert code == 1
-    swap = next(c for c in data["checks"] if c["name"] == "swap_action")
-    assert not swap["passed"] and swap["max_deviation"] == 1.0
+    assert row["max_deviation"] > 1e-6
+
+
+def test_identity_sweep_prints_its_table_under_a_generator_fault(capsys, monkeypatch):
+    # the script's main in process, so the fault reaches the identity suite it calls
+    sweep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "identity_sweep.py"))
+    scaled_t0(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["identity_sweep.py", "--max-n", "4"])
+    assert sweep["main"]() == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:2 + len(CHECK_NAMES)]]
+    assert [row[0] for row in rows] == CHECK_NAMES and all(len(row) == 4 for row in rows)
+    assert lines[-1].endswith("all checks pass at 1e-10: False")
 
 
 def test_u_spectrum_adds_a_wrong_multiplicity_to_its_deviation(tmp_path, monkeypatch):
