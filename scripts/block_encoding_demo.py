@@ -15,7 +15,7 @@ import numpy as np
 
 from sun_gates.amplitude_model import AmplitudeCoefficients
 from sun_gates.cli import DIMENSION_LIMITS, dimension_argument, seed_argument
-from sun_gates.invariant_channels import Channel, ChannelSpec
+from sun_gates.invariant_channels import Channel, ChannelSpec, build_projectors
 from sun_gates.lcu_encoder import apply_with_postselection, export_circuit, plan_encoding, verify_block
 
 
@@ -25,7 +25,7 @@ def main():
     limit = DIMENSION_LIMITS["generators"]
     parser.add_argument("--n", type=dimension_argument(limit), default=3,
                         help=f"qudit dimension, 2 to {limit}: the limit of the CLI commands that hold dense "
-                             "N^2 x N^2 arrays, since the direct postselection check reads the dense Z")
+                             "N^2 x N^2 arrays, since the direct postselection check reads the dense projectors")
     parser.add_argument("--channel", choices=["s", "t"], default="t")
     parser.add_argument("--seed", type=seed_argument, default=1)
     args = parser.parse_args()
@@ -48,7 +48,9 @@ def main():
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
     result = apply_with_postselection(plan, psi)
-    direct = np.linalg.norm(a * psi + b * (spec.z_gate @ psi)) ** 2 / plan.alpha ** 2
+    # Z as P_plus - P_minus of the delta-index projectors, built apart from the apply_z that postselection uses
+    p_plus, p_minus = build_projectors(spec)
+    direct = np.linalg.norm(a * psi + b * ((p_plus - p_minus) @ psi)) ** 2 / plan.alpha ** 2
     print(f"postselection probability: {result.success_probability:.6f} "
           f"(direct application: {direct:.6f})")
 

@@ -28,7 +28,6 @@ from .invariant_channels import (
     crossing_row_deviations,
     generator_form_projectors,
     select_crossing_axes,
-    singlet_state,
     swap_matrix,
     u_exponential_form,
 )

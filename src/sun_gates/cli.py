@@ -4,7 +4,9 @@ Each subcommand takes only the flags it reads (``sun-gates COMMAND -h`` lists
 them, with each command's ``--n`` limit); any other flag is a usage error.
 ``--output`` gets the bytes stdout would.  Exit status: 0 when all checks pass,
 1 on verification failure, 2 on usage or input errors, floating-point overflow
-included (its message names the command and the input it was given).  Complex
+included (its message names the command and the input it was given).  A
+``verify`` check whose deviation is nan or infinite fails, and prints it as
+``null`` with a ``detail`` that names it.  Complex
 arguments use the shell-safe ``re,im`` syntax; a negative leading value needs
 the joined form (``--a=-1,0``, ``--psi=-0.5,...``).  The
 ``SUN_GATES_TOLERANCE`` environment variable supplies the tolerance; it is
@@ -21,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -65,7 +68,7 @@ ENV_TOLERANCE = "SUN_GATES_TOLERANCE"
 #: Each command that takes --n, with its largest N; the parser and both scripts build --n from this entry.
 DIMENSION_LIMITS = {
     "generators": 32,  # holds dense N^2 x N^2 (and N^4-entry) arrays
-    "verify": 16,      # its round trip's decompose is an O(N^8) einsum (reconstruct is O(N^6)): ~30 s at N = 16
+    "verify": 16,      # its decompose is an O(N^8) einsum (reconstruct O(N^6)): 23-30 s at N = 16, 1 thread, Xeon
     "encode": 64,      # applies Z to --psi in O(N^2) and holds no N^2 x N^2 array
     "cross": 64,       # checks the crossing on the O(N^2) nonzero entries and holds no N^2 x N^2 array
 }
@@ -124,8 +127,9 @@ _tolerance = checked_argument(float, lambda t: np.isfinite(t) and t > 0,
 seed_argument = checked_argument(int, lambda s: s >= 0, "seed must be an integer of at least 0")
 
 
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.abs(m).max())
+def _max_abs(*arrays) -> float:
+    """The largest |entry| over all ``arrays``; a nan in any of them makes it nan."""
+    return float(np.max([np.abs(m).max() for m in arrays]))
 
 
 def _crossing_deviations(coeffs: AmplitudeCoefficients):
@@ -160,7 +164,7 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
         tag = kind.value
         spec = s_spec if kind is Channel.S else t_spec
         z = spec.z_gate
-        # the delta-index projectors, built apart from the closed-form Z
+        # the delta-index projectors, built apart from apply_z, of which z is the matrix
         p_plus, p_minus = build_projectors(spec)
         if kind is Channel.S:
             trace_plus, trace_minus = n * (n + 1) / 2.0, n * (n - 1) / 2.0
@@ -168,20 +172,18 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
             trace_plus, trace_minus = 1.0, float(d - 1)
         g_plus, g_minus = generator_form_projectors(spec, gens)
         results += [
-            check(f"projector_idempotence[{tag}]",
-                  max(_max_abs(p_plus @ p_plus - p_plus), _max_abs(p_minus @ p_minus - p_minus))),
+            check(f"projector_idempotence[{tag}]", _max_abs(p_plus @ p_plus - p_plus, p_minus @ p_minus - p_minus)),
             check(f"projector_orthogonality[{tag}]", _max_abs(p_plus @ p_minus)),
             check(f"projector_completeness[{tag}]", _max_abs(p_plus + p_minus - eye)),
             check(f"projector_traces[{tag}]",
-                  max(abs(np.trace(p_plus).real - trace_plus), abs(np.trace(p_minus).real - trace_minus))),
-            check(f"projector_generator_form[{tag}]",
-                  max(_max_abs(p_plus - g_plus), _max_abs(p_minus - g_minus))),
+                  _max_abs(np.trace(p_plus).real - trace_plus, np.trace(p_minus).real - trace_minus)),
+            check(f"projector_generator_form[{tag}]", _max_abs(p_plus - g_plus, p_minus - g_minus)),
             check(f"gate_unitarity[{tag}]", _max_abs(z.conj().T @ z - eye)),
             check(f"gate_involution[{tag}]", _max_abs(z @ z - eye)),
             check(f"gate_hermiticity[{tag}]", _max_abs(z - z.conj().T)),
         ]
         if kind is Channel.S:
-            # the swap as rows of the identity, built apart from swap_matrix, from which z is made
+            # the swap as rows of the identity, built apart from apply_z, of which z is the matrix
             results.append(check("swap_action", _max_abs(z - eye[np.arange(d).reshape(n, n).T.ravel()])))
         else:
             evals = np.linalg.eigvalsh(z)
@@ -206,7 +208,11 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
     bits = np.frombuffer(rng.randbytes(16 * d * d), dtype="<u8") >> 11
     real, imag = (bits * 2.0 ** -52 - 1.0).reshape(2, d, d)
     op = real + 1j * imag
-    results.append(check("decompose_round_trip", _max_abs(reconstruct(decompose(op, gens)) - op)))
+    dec = decompose(op, gens)
+    # reconstruct raises on a non-finite field, so the round trip measures one as nan and names it
+    nonfinite = ", ".join(f for f in ("scalar", "left", "right", "corr") if not np.isfinite(getattr(dec, f)).all())
+    round_trip = np.nan if nonfinite else _max_abs(reconstruct(dec) - op)
+    results.append(check("decompose_round_trip", round_trip, nonfinite and f"{nonfinite} not finite"))
     return results
 
 
@@ -238,11 +244,13 @@ def cmd_generators(args: argparse.Namespace) -> tuple[str, bool]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
     kinds = [Channel(args.channel)] if args.channel else [Channel.S, Channel.T]
-    rows = [
-        {"name": c.name, "max_deviation": c.max_deviation, "passed": c.max_deviation <= args.tolerance,
-         **({"detail": c.detail} if c.detail else {})}
-        for c in identity_checks(args.n, kinds, args.seed)
-    ]
+    rows = []
+    for c in identity_checks(args.n, kinds, args.seed):
+        # strict JSON has no nan or infinity: such a deviation prints as null, fails, and its detail names it
+        finite = math.isfinite(c.max_deviation)
+        detail = "; ".join(filter(None, [c.detail, "" if finite else f"max_deviation is {c.max_deviation}"]))
+        rows.append({"name": c.name, "max_deviation": c.max_deviation if finite else None,
+                     "passed": c.max_deviation <= args.tolerance, **({"detail": detail} if detail else {})})
     all_passed = all(row["passed"] for row in rows)
     payload = {
         "n": args.n,

@@ -14,12 +14,12 @@ H_N (x) H_N:
 
 A ``ChannelSpec(Channel.S, n)`` or ``ChannelSpec(Channel.T, n)`` is its
 channel's gate pair {identity, Z} and holds neither as an array until one is
-read.  ``ChannelSpec.apply_z`` applies Z to a state in O(N^2): a transpose of its N x N reshape in the s-channel, the singlet
-reflection 2<s|psi>|s> - psi in the t-channel.  The dense
-``ChannelSpec.z_gate`` comes from the closed forms, ``swap_matrix`` and
-(2/N)|vec I><vec I| - I, never from ``build_projectors``, so the CLI
-``verify`` suite checks each channel's projectors and Z as two independent
-constructions.
+read.  ``ChannelSpec.apply_z`` is the one definition of Z: it applies Z to a
+state in O(N^2), a transpose of its N x N reshape in the s-channel, the
+singlet reflection 2<s|psi>|s> - psi in the t-channel.  The dense
+``ChannelSpec.z_gate`` is the matrix of that action, column by column, so the
+CLI ``verify`` suite checks the Z that ``encode`` applies, against projectors
+that ``build_projectors`` builds apart from it.
 
 Because the second factor of the t-channel carries the conjugate
 representation, its generator bilinear enters the computational basis with a
@@ -72,9 +72,10 @@ class ChannelSpec:
     Z is the swap gate in the s-channel and the charge-parity gate in the
     t-channel; in both cases it is Hermitian, unitary, and squares to the
     identity, so {s_identity, z_gate} closes into a two-element group.
-    ``apply_z`` acts with Z on one state without a matrix; ``z_gate`` builds
-    the dense N^2 x N^2 Z on its first read and keeps it, read-only.  The
-    spec compares, hashes and prints by ``kind`` and ``n`` alone.
+    ``apply_z`` defines Z, acting on one state without a matrix; ``z_gate``
+    builds the dense N^2 x N^2 matrix of ``apply_z`` on its first read and
+    keeps it, read-only.  The spec compares, hashes and prints by ``kind``
+    and ``n`` alone.
     """
 
     kind: Channel
@@ -87,14 +88,8 @@ class ChannelSpec:
 
     @cached_property
     def z_gate(self) -> np.ndarray:
-        """Dense Z: ``swap_matrix(n)``, or (2/N)|vec I><vec I| with its diagonal shifted by -1 in place."""
-        n = self.n
-        if self.kind is Channel.S:
-            z = swap_matrix(n)
-        else:
-            vec_eye = np.eye(n, dtype=complex).reshape(n * n)
-            z = np.multiply.outer(vec_eye, (2.0 / n) * vec_eye)
-            z.flat[::n * n + 1] -= 1.0
+        """Dense Z, the matrix of ``apply_z``: column c is ``apply_z`` of the c-th basis state."""
+        z = np.stack([self.apply_z(e) for e in np.eye(self.n ** 2, dtype=complex)], axis=1)
         z.setflags(write=False)
         return z
 
@@ -104,7 +99,7 @@ class ChannelSpec:
         return np.eye(self.n ** 2, dtype=complex)
 
     def apply_z(self, psi: np.ndarray) -> np.ndarray:
-        """Z psi as a new vector in O(N^2), equal to ``z_gate @ psi`` without forming ``z_gate``.
+        """Z psi as a new vector in O(N^2), without forming ``z_gate``; the one definition of each channel's Z.
 
         s-channel: psi[(i,j)] -> psi[(j,i)], the transpose of psi's N x N
         reshape.  t-channel: 2<s|psi>|s> - psi, i.e. -psi with
@@ -216,12 +211,6 @@ def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:
     the adjoint subspace.
     """
     return _regroup(gens.fierz, (0, 3, 1, 2))
-
-
-def singlet_state(n: int) -> np.ndarray:
-    """Normalized maximally entangled singlet sum_i |ii> / sqrt(N)."""
-    n = qudit_dimension(n)
-    return np.eye(n, dtype=complex).reshape(n * n) / np.sqrt(n)
 
 
 def u_exponential_form(gens: GeneratorSet) -> np.ndarray:

@@ -20,7 +20,6 @@ from sun_gates.invariant_channels import (
     crossing_row_deviations,
     generator_form_projectors,
     select_crossing_axes,
-    singlet_state,
     swap_matrix,
     u_exponential_form,
 )
@@ -45,7 +44,7 @@ def test_channel_spec_validation():
     with pytest.raises(TypeError):
         ChannelSpec("s", 3)
     # one N rule for every library entry that takes N
-    for make in (lambda n: ChannelSpec(Channel.T, n), build_generators, singlet_state,
+    for make in (lambda n: ChannelSpec(Channel.T, n), build_generators,
                  lambda n: GeneratorSet(n=n, generators=build_generators(3).generators.copy())):
         with pytest.raises(ValueError, match="at least 2, got 1"):
             make(1)
@@ -54,7 +53,6 @@ def test_channel_spec_validation():
             with pytest.raises(TypeError, match=re.escape(repr(bad))):
                 make(bad)
     assert ChannelSpec(Channel.T, np.int64(3)).apply_z(np.ones(9)).shape == (9,)
-    assert singlet_state(np.int64(3)).shape == (9,)
     # a numpy integer N is kept as a Python int, so a payload that carries it is JSON-ready
     for built in (ChannelSpec(Channel.T, np.int64(3)), build_generators(np.int64(3))):
         assert type(built.n) is int and json.dumps(built.n) == "3"
@@ -157,14 +155,10 @@ def test_charge_parity_spectrum(n):
     assert int(np.sum(evals < 0)) == n * n - 1
 
 
-def test_singlet_state_explicit_n2():
-    expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    np.testing.assert_allclose(singlet_state(2), expected, atol=1e-15)
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_singlet_state_properties(n):
-    psi = singlet_state(n)
+    # the singlet sum_i |ii> / sqrt(N)
+    psi = np.eye(n, dtype=complex).reshape(n * n) / np.sqrt(n)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
     spec = ChannelSpec(Channel.T, n)
     p_plus, _ = build_projectors(spec)
@@ -188,7 +182,7 @@ def test_charge_parity_bilinear_eigenvalues_n2():
     # two eigenvalues: 3/4 on the singlet, -1/4 on the adjoint complement
     gens = build_generators(2)
     x = charge_parity_bilinear(gens)
-    psi = singlet_state(2)
+    psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     assert abs(np.vdot(psi, x @ psi) - 0.75) <= 1e-14
     evals = np.sort(np.linalg.eigvalsh(x))
     np.testing.assert_allclose(evals, [-0.25, -0.25, -0.25, 0.75], atol=1e-14)
@@ -331,7 +325,7 @@ def test_constructions_match_index_loops(n):
 
     s_spec, t_spec = ChannelSpec(Channel.S, n), ChannelSpec(Channel.T, n)
     eye = np.eye(d, dtype=complex)
-    # Z is the projector difference; the closed-form t-channel diagonal may round in another order
+    # Z is the projector difference; apply_z's t-channel diagonal may round in another order
     assert not s_spec.z_gate.flags.writeable and not t_spec.z_gate.flags.writeable
     assert np.array_equal(s_spec.z_gate, s_plus - s_minus)
     assert np.abs(t_spec.z_gate - (t_plus - t_minus)).max() <= 1e-15
@@ -347,11 +341,13 @@ complex_entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_i
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(2, 8), kind=st.sampled_from([Channel.S, Channel.T]))
 def test_apply_z_matches_dense_z(data, n, kind):
-    # the O(N^2) action is pinned to the dense oracle: Z psi and the involution Z Z psi = psi
+    # the O(N^2) action is pinned to P_plus - P_minus of the delta-index projectors, not to z_gate,
+    # which is built from apply_z itself: Z psi and the involution Z Z psi = psi
     spec = ChannelSpec(kind, n)
+    p_plus, p_minus = build_projectors(spec)
     psi = np.array(data.draw(st.lists(complex_entries, min_size=n * n, max_size=n * n)), dtype=complex)
     z_psi = spec.apply_z(psi)
-    assert np.abs(z_psi - spec.z_gate @ psi).max() <= 1e-12
+    assert np.abs(z_psi - (p_plus - p_minus) @ psi).max() <= 1e-12
     assert np.abs(spec.apply_z(z_psi) - psi).max() <= 1e-12
 
 

@@ -268,6 +268,8 @@ def test_postselection_annihilates_antisymmetric_state():
 @pytest.mark.parametrize("kind", ["s", "t"])
 def test_postselection_probability_matches_direct_application(n, kind):
     spec = channel_setup(n, kind)
+    # Z as P_plus - P_minus of the delta-index projectors, built apart from the apply_z that postselection uses
+    p_plus, p_minus = build_projectors(spec)
     rng = np.random.default_rng(23 * n)
     for _ in range(10):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -277,7 +279,7 @@ def test_postselection_probability_matches_direct_application(n, kind):
         psi /= np.linalg.norm(psi)
         result = apply_with_postselection(plan, psi)
         # independent oracle: plain matrix application, no ancilla machinery
-        m_psi = amplitude_operator(coeffs) @ psi
+        m_psi = a * psi + b * ((p_plus - p_minus) @ psi)
         expected = float(np.linalg.norm(m_psi) ** 2 / plan.alpha ** 2)
         assert abs(result.success_probability - expected) <= 1e-12
         assert np.abs(result.state - m_psi / np.linalg.norm(m_psi)).max() <= 1e-12
