@@ -260,8 +260,9 @@ def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficien
     ``s`` is M_s = a I + b S and ``t`` is M_t = a' I + b' Z_t of one N; ``ValueError`` names any other
     pair of channels, or ``axes`` unless it permutes the four legs.  M_s is nonzero at (k,l,k,l) and
     (l,k,k,l), which ``axes`` moves as ``crossing_map`` moves them by ``CROSSING_AXES``; M_t at (k,l,k,l)
-    and (k,k,l,l).  Each gate's entries are summed per flat key r N^2 + c on the union of the supports
-    and evaluated there as a * I + b * Z, the dense arithmetic; every other entry is 0 - 0.
+    and (k,k,l,l).  At each of those points (a,b,c,d) both sides are read from their delta pairings:
+    I = d_ac d_bd, S = d_ad d_bc and Z_t = (2/N) d_ab d_cd - d_ac d_bd, with M_s taken at the legs
+    ``np.argsort(axes)`` of the point, where ``crossing_map`` read it; every other entry is 0 - 0.
     """
     if (s.channel.kind, t.channel.kind, t.channel.n) != (Channel.S, Channel.T, s.channel.n):
         raise ValueError(f"expected the s and t channel of one N, got {s.channel} and {t.channel}")
@@ -270,17 +271,12 @@ def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficien
     n = s.channel.n
     k, l = np.divmod(np.arange(n * n), n)
     diag, swap, block = (k, l, k, l), (l, k, k, l), (k, k, l, l)
-    crossed_diag, crossed_swap = ([x[axis] for axis in axes] for x in (diag, swap))
-    # (gate, support, entry): crossed I, crossed S, then I and Z_t of the t channel
-    gate, support, entry = zip((0, crossed_diag, 1.0), (1, crossed_swap, 1.0),
-                               (2, diag, 1.0), (3, diag, -1.0), (3, block, 2.0 / n))
-    keys = np.ravel_multi_index(tuple(np.concatenate(support, axis=1)), (n,) * 4)
-    union, where = np.unique(keys, return_inverse=True)
-    weights = np.zeros((4, union.size))
-    np.add.at(weights, (np.repeat(gate, n * n), where), np.repeat(entry, n * n))
-    eye_s, swap_s, eye_t, z_t = weights
-    m_s = s.a * eye_s + s.b * swap_s
-    m_t = t.a * eye_t + t.b * z_t
+    points = np.concatenate([[x[axis] for axis in axes] for x in (diag, swap)] + [diag, block], axis=1)
+    a, b, c, d = points
+    i, j, p, q = (points[leg] for leg in np.argsort(axes))
+    direct = (a == c) & (b == d)
+    m_s = s.a * ((i == p) & (j == q)) + s.b * ((i == q) & (j == p))
+    m_t = t.a * direct + t.b * ((2.0 / n) * ((a == b) & (c == d)) - direct)
     return float(np.abs(m_s - m_t).max())
 
 

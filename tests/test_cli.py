@@ -7,6 +7,7 @@ import json
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -216,30 +217,42 @@ def nan_pair_head(pair):
     return np.nan * pair[0], pair[1]
 
 
-#: Faults that make one check's deviation nan, each with that check
+#: Faults that make a check's deviation nan, each with the checks it names and how their detail starts;
+#: a construction that raises while its check measures names its exception there
 NONFINITE_FAULTS = {
     "decompose_nan_corr": (result_fault(cli, "decompose", lambda dec: replace(dec, corr=np.nan * dec.corr)),
-                           "decompose_round_trip"),
-    "nan_p_plus": (result_fault(cli, "build_projectors", nan_pair_head), "projector_idempotence[s]"),
-    "nan_u_exponential_form": (result_fault(cli, "u_exponential_form", lambda u: np.nan * u), "u_exponential_form"),
+                           ["decompose_round_trip"], "ValueError: corr "),
+    "nan_p_plus": (result_fault(cli, "build_projectors", nan_pair_head), ["projector_idempotence[s]"], ""),
+    "nan_u_exponential_form": (result_fault(cli, "u_exponential_form", lambda u: np.nan * u),
+                               ["u_exponential_form"], ""),
     "nan_generator_form_p_plus": (result_fault(cli, "generator_form_projectors", nan_pair_head),
-                                  "projector_generator_form[t]"),
-    "nan_hermiticity": (result_fault(cli, "hermiticity_deviation", lambda _: np.nan), "generator_hermiticity"),
+                                  ["projector_generator_form[t]"], ""),
+    "nan_hermiticity": (result_fault(cli, "hermiticity_deviation", lambda _: np.nan), ["generator_hermiticity"], ""),
+    # X has nan entries, so eigh inside u_exponential_form raises LinAlgError
+    "nan_t0": (generator_fault(0, scale=np.nan), ["u_exponential_form"], "LinAlgError: "),
+    # a nan crossed coefficient is refused by AmplitudeCoefficients, in both rows that read the crossing
+    "nan_crossed_b": (result_fault(cli, "cross_coefficients", lambda crossed: replace(crossed, b=complex("nan"))),
+                      ["crossing_coefficient_round_trip", "crossing_operator_consistency"],
+                      "ValueError: coefficient b "),
+    # the Fierz tensor of T^0 x 1e200 overflows, in every row that reads it
+    "overflowing_t0": (generator_fault(0, scale=1e200), ["projector_generator_form[s]", "u_exponential_form"],
+                       "FloatingPointError: overflow"),
+    "nan_apply_z": (fault(ChannelSpec, "apply_z", lambda apply_z: lambda spec, psi: np.nan * apply_z(spec, psi)),
+                    ["u_spectrum"], "LinAlgError: "),
 }
 
 
 @pytest.mark.parametrize("case", NONFINITE_FAULTS)
 def test_a_nonfinite_deviation_is_a_failing_row(capsys, monkeypatch, case):
     # strict JSON has no nan: the row prints null, fails, and names it, and verify exits 1, not 2
-    install, name = NONFINITE_FAULTS[case]
+    install, names, detail_start = NONFINITE_FAULTS[case]
     install(monkeypatch)
     code, payload = verify_stdout(capsys, "--n", "3")
-    row = next(row for row in payload["checks"] if row["name"] == name)
     assert code == 1 and not payload["all_passed"]
-    assert row["max_deviation"] is None and row["passed"] is False
-    assert row["detail"].endswith("max_deviation is nan")
-    if case == "decompose_nan_corr":
-        assert row["detail"] == "corr not finite; max_deviation is nan"
+    for name in names:
+        row = next(row for row in payload["checks"] if row["name"] == name)
+        assert row["max_deviation"] is None and row["passed"] is False
+        assert row["detail"].startswith(detail_start) and row["detail"].endswith("max_deviation is nan")
 
 
 def test_identity_sweep_reports_a_nan_as_its_worst_deviation(capsys, monkeypatch):
@@ -620,6 +633,32 @@ def test_fuzz_coefficient_commands(tmp_path, command, n, channel, a, b):
                         "--a={!r},{!r}".format(*a), "--b={!r},{!r}".format(*b))
 
 
+magnitudes = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                       st.floats(-9.99, 9.99), st.integers(-300, 149))
+
+
+@FUZZ
+@example(n=3, channel="s", parts=(1e6, 0.3, 0.7, 1e6))
+@example(n=3, channel="s", parts=(1e9, 0.3, 0.7, 1e9))
+@given(n=st.sampled_from([2, 3, 5, 16, 64]), channel=st.sampled_from(["s", "t"]),
+       parts=st.tuples(*[st.one_of(magnitudes, st.floats(-1e150, 1e150))] * 4))
+def test_cross_passes_finite_coefficients_at_any_scale(capsys, n, channel, parts):
+    # rounding grows with the coefficients, so cross judges it against tolerance * max(1, |a|, |b|, |a'|, |b'|)
+    code = main(["cross", "--n", str(n), "--channel", channel,
+                 "--a={!r},{!r}".format(*parts[:2]), "--b={!r},{!r}".format(*parts[2:])])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "") and _strict_json(out)["all_passed"]
+
+
+def test_cross_fails_a_relative_fault_at_large_coefficients(capsys, monkeypatch):
+    # the scaled tolerance still catches a crossed b' off by one part in 1e9, at a scale where rounding passes
+    argv = ["cross", "--n", "3", "--a=1e6,0.3", "--b=0.7,1e6"]
+    assert main(argv) == 0
+    result_fault(cli, "cross_coefficients", lambda crossed: replace(crossed, b=(1 + 1e-9) * crossed.b))(monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 1 and not _strict_json(capsys.readouterr().out)["all_passed"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(rows=st.lists(st.tuples(st.integers(0, 4), finite, finite, finite, finite, finite), max_size=3))
@@ -713,6 +752,24 @@ def test_readme_library_sketch_runs():
     proc = subprocess.run([sys.executable, "-c", sketch], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # each sun-gates line of the README's bash blocks exits 0 as printed;
+    # partial-wave reads a table with the header its comment names
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"^```bash\n(.*?)^```$", readme, re.M | re.S)
+             for line in block.splitlines() if line.startswith("sun-gates ")]
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if argv[0] == "partial-wave":
+            header, = re.findall(r"CSV header: (\S+)", comment)
+            (tmp_path / argv[1]).write_text(f"{header}\n0,0.6,0,0.8,0,1\n")
+        assert main(argv) == 0, line
+        assert capsys.readouterr().err == "", line
 
 
 def count_calls(monkeypatch, *names):
@@ -851,7 +908,7 @@ coefficient = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 8), kind=st.sampled_from(list(Channel)), a=coefficient, b=coefficient,
        other=st.tuples(coefficient, coefficient),
-       axes=st.sampled_from([(0, *tail) for tail in itertools.permutations((1, 2, 3))]))
+       axes=st.sampled_from(list(itertools.permutations(range(4)))))
 def test_crossing_deviation_matches_the_dense_operators(n, kind, a, b, other, axes):
     # the dense crossing_map(M_s) - M_t over all N^4 entries is the oracle of the support-based check
     def dense(s_coeffs, t_coeffs):
@@ -862,7 +919,7 @@ def test_crossing_deviation_matches_the_dense_operators(n, kind, a, b, other, ax
     s_coeffs, t_coeffs = (coeffs, crossed) if kind is Channel.S else (crossed, coeffs)
     assert abs(deviation - dense(s_coeffs, t_coeffs)) <= 1e-15
     # an unrelated t-channel pair leaves O(1) entries on both supports, so each entry is pinned, not only a zero;
-    # every spectator-fixing regrouping is pinned too, since select_crossing_axes reads each through the supports
+    # every regrouping of the four legs is pinned too, since the kernel accepts each of the 24
     unrelated = AmplitudeCoefficients(t_coeffs.channel, *other)
     moved = np.transpose(amplitude_operator(s_coeffs).reshape(n, n, n, n), axes).reshape(n * n, n * n)
     expected = np.abs(moved - amplitude_operator(unrelated)).max()
