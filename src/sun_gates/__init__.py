@@ -7,7 +7,6 @@ with every defining identity machine-checkable at desk scale.
 """
 
 from .amplitude_model import (
-    DiskSample,
     PartialWaveSector,
     amplitude_operator,
     cross_coefficients,

@@ -142,43 +142,29 @@ class PartialWaveSector:
         return _finite("eigen_minus", 1.0 + 1j * float(self.kappa_j) * (complex(self.a_j) - complex(self.b_j)))
 
 
-@dataclass(frozen=True)
-class DiskSample:
-    """One (theta, phi, a, b) row of the coefficient-disk table."""
-
-    theta: float
-    phi: float
-    a: complex
-    b: complex
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.a) ** 2 + abs(self.b) ** 2
-
-
-#: Largest ``disk_samples`` resolution: the table has resolution^2 rows, about 0.5 GB at 1024.
+#: Largest ``disk_samples`` resolution: the table has resolution^2 rows.  Peak RSS of the whole ``disk``
+#: process (Python 3.11, numpy 2.4, Xeon): 99 MB for csv and 585 MB for json at 512, 283 MB for csv at 1024;
+#: json at 1024 is about 2.3 GB, a 4x extrapolation from 512, not a measurement.
 MAX_DISK_RESOLUTION = 1024
 
 
-def disk_samples(resolution: int) -> list[DiskSample]:
-    """Sample the coefficient disk: unitary boundary arc plus interior grid.
+def disk_samples(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the coefficient disk: unitary boundary arc plus interior grid, as columns (theta, a, b).
 
     Each radius r sweeps theta over ``resolution`` points of [0, pi/2] at
-    phi = 0, with a = r cos(theta) and b = i r sin(theta).  The first
+    phi = 0, with a = r cos(theta) and b = i r sin(theta); row k of each
+    column is one (r, theta), theta varying fastest.  The first
     ``resolution`` rows are the boundary r = 1 (|a|^2 + |b|^2 = 1, including
     the pure-identity point theta = 0 and the pure-Z point theta = pi/2); the
     rest take r = k / resolution, k = 1 .. resolution - 1, all with
-    |a|^2 + |b|^2 < 1.  ``resolution`` is an integer from 2 to
-    ``MAX_DISK_RESOLUTION``: ``TypeError`` names any other type, ``ValueError``
-    a value out of that range.
+    |a|^2 + |b|^2 < 1.  theta is float64, a and b complex128.  ``resolution``
+    is an integer from 2 to ``MAX_DISK_RESOLUTION``: ``TypeError`` names any
+    other type, ``ValueError`` a value out of that range.
     """
     if not isinstance(resolution, numbers.Integral):
         raise TypeError(f"resolution must be an integer, got {resolution!r}")
     if not 2 <= resolution <= MAX_DISK_RESOLUTION:
         raise ValueError(f"resolution must be between 2 and {MAX_DISK_RESOLUTION}, got {resolution}")
     thetas = np.linspace(0.0, np.pi / 2.0, resolution)
-    radii = [1.0] + [k / resolution for k in range(1, resolution)]
-    return [
-        DiskSample(theta=float(t), phi=0.0, a=complex(r * np.cos(t)), b=complex(1j * r * np.sin(t)))
-        for r in radii for t in thetas
-    ]
+    radii = np.array([1.0] + [k / resolution for k in range(1, resolution)])[:, None]
+    return np.tile(thetas, resolution), (radii * np.cos(thetas)).ravel(), (1j * radii * np.sin(thetas)).ravel()

@@ -322,22 +322,23 @@ def cmd_cross(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def cmd_disk(args: argparse.Namespace) -> tuple[str, bool]:
-    rows = disk_samples(args.resolution)
+    thetas, a_column, b_column = disk_samples(args.resolution)
+    # norm_sq on each row's Python complexes: np.abs(a) ** 2 rounds some rows to other bits
+    rows = ((theta, a, b, abs(a) ** 2 + abs(b) ** 2)
+            for theta, a, b in zip(thetas.tolist(), a_column.tolist(), b_column.tolist()))
     if args.format == "json":
         payload = {
             "resolution": args.resolution,
-            "rows": [
-                {"theta": r.theta, "phi": r.phi, "a": _cplx(r.a), "b": _cplx(r.b), "norm_sq": r.norm_sq}
-                for r in rows
-            ],
+            "rows": [{"theta": theta, "phi": 0.0, "a": _cplx(a), "b": _cplx(b), "norm_sq": norm_sq}
+                     for theta, a, b, norm_sq in rows],
         }
         return _json(payload), True
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["theta", "phi", "re_a", "im_a", "re_b", "im_b", "norm_sq"])
-    for r in rows:
+    for theta, a, b, norm_sq in rows:
         # csv.writer writes each float as its repr
-        writer.writerow([r.theta, r.phi, r.a.real, r.a.imag, r.b.real, r.b.imag, r.norm_sq])
+        writer.writerow([theta, 0.0, a.real, a.imag, b.real, b.imag, norm_sq])
     return buffer.getvalue(), True
 
 

@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .amplitude_model import AmplitudeCoefficients
+from .invariant_channels import AmplitudeCoefficients
 from .sun_algebra import DEFAULT_TOLERANCE
 
 

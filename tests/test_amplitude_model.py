@@ -256,17 +256,14 @@ def test_partial_wave_sector_rejects_a_non_integer_j(j):
 
 
 def test_disk_samples_geometry():
-    rows = disk_samples(4)
-    boundary, interior = rows[:4], rows[4:]
-    assert abs(boundary[0].theta) == 0.0 and boundary[0].a == 1.0 and boundary[0].b == 0.0
-    last = boundary[-1]
-    assert abs(last.theta - np.pi / 2) <= 1e-15
-    assert abs(last.a) <= 1e-15 and abs(last.b - 1j) <= 1e-15
-    for row in boundary:
-        assert abs(row.norm_sq - 1.0) <= 1e-12
-    assert interior
-    for row in interior:
-        assert row.norm_sq < 1.0
+    thetas, a, b = disk_samples(4)
+    norm_sq = np.abs(a) ** 2 + np.abs(b) ** 2
+    assert abs(thetas[0]) == 0.0 and a[0] == 1.0 and b[0] == 0.0
+    assert abs(thetas[3] - np.pi / 2) <= 1e-15
+    assert abs(a[3]) <= 1e-15 and abs(b[3] - 1j) <= 1e-15
+    assert np.all(np.abs(norm_sq[:4] - 1.0) <= 1e-12)
+    assert norm_sq[4:].size
+    assert np.all(norm_sq[4:] < 1.0)
 
 
 def test_disk_samples_resolution_validation():

@@ -213,6 +213,49 @@ def test_a_fault_in_apply_z_fails_verify(capsys, monkeypatch):
         assert rows[name]["max_deviation"] > 1e-6 and not rows[name]["passed"]
 
 
+#: The three delta pairings of the legs of [(a,b),(c,d)]: direct d_ac d_bd, exchange d_ad d_bc, singlet d_ab d_cd
+PAIRINGS = {"direct": ("ac", "bd"), "exchange": ("ad", "bc"), "singlet": ("ab", "cd")}
+
+
+def projector_terms(kind, n):
+    """Each projector of the pair (p_plus, p_minus) of ``build_projectors`` as its (coefficient, pairing) terms."""
+    if kind == "s":
+        return [[(0.5, "direct"), (0.5, "exchange")], [(0.5, "direct"), (-0.5, "exchange")]]
+    return [[(1.0 / n, "singlet")], [(1.0, "direct"), (-1.0 / n, "singlet")]]
+
+
+def projector_pair(terms, n):
+    eye = np.eye(n, dtype=complex)
+    return tuple(sum(c * np.einsum("{},{}->abcd".format(*PAIRINGS[pairing]), eye, eye).reshape(n * n, n * n)
+                     for c, pairing in projector) for projector in terms)
+
+
+#: Each single delta-pairing fault: one term of one channel's P_plus or P_minus read with another pairing
+PAIRING_MUTANTS = [
+    (kind, p, term, other)
+    for kind in "st" for p, projector in enumerate(projector_terms(kind, 3))
+    for term, (_, pairing) in enumerate(projector) for other in PAIRINGS if other != pairing
+]
+
+
+@pytest.mark.parametrize("kind, p, term, other", PAIRING_MUTANTS,
+                         ids=[f"{kind}-p_{'plus' if p == 0 else 'minus'}-{term}-{other}"
+                              for kind, p, term, other in PAIRING_MUTANTS])
+def test_a_single_delta_pairing_fault_fails_a_projector_check(capsys, monkeypatch, kind, p, term, other):
+    original = cli.build_projectors
+    spec = ChannelSpec(Channel(kind), 3)
+    terms = projector_terms(kind, 3)
+    assert all(np.array_equal(x, y) for x, y in zip(projector_pair(terms, 3), original(spec)))
+    terms[p][term] = (terms[p][term][0], other)
+    mutant = projector_pair(terms, 3)
+    monkeypatch.setattr(cli, "build_projectors", lambda s: mutant if s == spec else original(s))
+    code, payload = verify_stdout(capsys, "--n", "3")
+    assert code == 1 and not payload["all_passed"]
+    tripped = [row["name"] for row in payload["checks"] if row["name"].startswith("projector_")
+               and row["name"].endswith(f"[{kind}]") and row["max_deviation"] > 1e-6]
+    assert tripped
+
+
 def nan_pair_head(pair):
     return np.nan * pair[0], pair[1]
 
@@ -274,6 +317,18 @@ def test_identity_sweep_prints_its_table_under_a_generator_fault(capsys, monkeyp
     rows = [line.split() for line in lines[2:2 + len(CHECK_NAMES)]]
     assert [row[0] for row in rows] == CHECK_NAMES and all(len(row) == 4 for row in rows)
     assert lines[-1].endswith("all checks pass at 1e-10: False")
+
+
+def test_stdout_digests_prints_one_line_per_command(capsys):
+    # each line is "<sha1> <exit> <argv>", in the script's command order, and the working directory comes back
+    cwd = os.getcwd()
+    digests = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "stdout_digests.py"))
+    digests["main"]()
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and os.getcwd() == cwd
+    assert all(re.fullmatch(r"[0-9a-f]{40} [012] \S.*", line) for line in lines), lines
+    assert [line.split(" ", 2)[2] for line in lines] == [shlex.join(argv) for argv in digests["COMMANDS"]]
 
 
 def test_u_spectrum_adds_a_wrong_multiplicity_to_its_deviation(tmp_path, monkeypatch):
@@ -400,6 +455,34 @@ def test_disk_json_format(tmp_path):
     assert code == 0
     assert len(data["rows"]) == 4 * 4
     assert data["rows"][0]["a"] == [1.0, 0.0]
+
+
+def disk_oracle(resolution, fmt):
+    """The ``disk`` text, row by row: a = r cos(theta), b = i r sin(theta), norm_sq = |a|^2 + |b|^2."""
+    thetas = np.linspace(0.0, np.pi / 2.0, resolution)
+    rows = []
+    for r in [1.0] + [k / resolution for k in range(1, resolution)]:
+        for t in thetas:
+            a, b = complex(r * np.cos(t)), complex(1j * r * np.sin(t))
+            rows.append((float(t), a, b, abs(a) ** 2 + abs(b) ** 2))
+    if fmt == "json":
+        rows = [{"theta": t, "phi": 0.0, "a": [a.real, a.imag], "b": [b.real, b.imag], "norm_sq": norm_sq}
+                for t, a, b, norm_sq in rows]
+        return json.dumps({"resolution": resolution, "rows": rows}, indent=2) + "\n"
+    lines = ["theta,phi,re_a,im_a,re_b,im_b,norm_sq"]
+    lines += [",".join(repr(x) for x in (t, 0.0, a.real, a.imag, b.real, b.imag, norm_sq))
+              for t, a, b, norm_sq in rows]
+    return "".join(line + "\r\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("resolution", [2, 8, 64, 257])
+def test_disk_text_matches_the_row_formulas(capsys, resolution, fmt):
+    assert main(["disk", "--resolution", str(resolution), "--format", fmt]) == 0
+    got, want = capsys.readouterr().out.split("\n"), disk_oracle(resolution, fmt).split("\n")
+    # the first differing line, not a diff of the whole text, which takes minutes at resolution 257
+    assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+    assert len(got) == len(want)
 
 
 @pytest.mark.parametrize("args", [
