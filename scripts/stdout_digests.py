@@ -21,13 +21,19 @@ from sun_gates import cli
 
 COEFFICIENTS = ["--a=0.3,-0.2", "--b=1.7,0.4"]
 
+#: A normalized --psi per N, not symmetric under the swap, so the postselection fields differ by channel
+PSI = {2: "0,0.6,0.8,0", 3: "0.5,0.5,0,0,-0.5,0,0,0,0.5"}
+
 # two sectors on the unitary circle, one outside it (exit 1) and one complex one inside
 SECTORS = "j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0,1\n1,0.6,0,0,0.8,2\n2,1,0,1,0,0.5\n3,0.1,-0.2,0.3,0.05,1.5\n"
 
 COMMANDS = [
     *(["verify", "--n", str(n), "--seed", seed] for n in range(2, 13) for seed in ("0", "7")),
     *(["verify", "--n", "5", "--channel", channel] for channel in "st"),
+    ["verify", "--n", "3", "--tolerance=1e-300"],  # each inexact row fails: exit 1, payload still printed
     *(["encode", "--n", str(n), "--channel", channel, *COEFFICIENTS] for n in (2, 3, 8, 16) for channel in "st"),
+    *(["encode", "--n", str(n), "--channel", channel, *COEFFICIENTS, f"--psi={psi}"]
+      for n, psi in PSI.items() for channel in "st"),
     *(["cross", "--n", str(n), *COEFFICIENTS] for n in (2, 3, 17, 64)),
     ["generators", "--n", "3"],
     *(["disk", "--resolution", str(r), "--format", fmt] for r in (2, 8, 64, 257) for fmt in ("csv", "json")),

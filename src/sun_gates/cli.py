@@ -21,14 +21,15 @@ tolerance * max(1, |a|, |b|, |a'|, |b'|)``), and sets ``passed``, ``all_passed``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,9 +145,13 @@ def _crossing_deviations(coeffs: AmplitudeCoefficients):
 
 
 def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult]:
-    """Measure the full identity suite at dimension ``n`` for the given channels; callers judge the deviations."""
+    """Measure the full identity suite at dimension ``n`` for the given channels; callers judge the deviations.
+
+    Each construction is built in the first row that reads it and kept for later rows; one that raises is kept
+    by none, so it fails exactly the rows that read it, and every other row is still measured.
+    """
     rng = random.Random(seed)
-    gens = build_generators(n)
+    gens = functools.cache(lambda: build_generators(n))
     d = n * n
 
     def check(name, measure):
@@ -158,10 +163,10 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
         return CheckResult(name=name, max_deviation=float(deviation), detail=detail)
 
     results = [
-        check("generator_hermiticity", lambda: hermiticity_deviation(gens)),
-        check("generator_tracelessness", lambda: tracelessness_deviation(gens)),
-        check("generator_orthonormality", lambda: orthonormality_deviation(gens)),
-        check("completeness_identity", lambda: verify_completeness(gens)),
+        check("generator_hermiticity", lambda: hermiticity_deviation(gens())),
+        check("generator_tracelessness", lambda: tracelessness_deviation(gens())),
+        check("generator_orthonormality", lambda: orthonormality_deviation(gens())),
+        check("completeness_identity", lambda: verify_completeness(gens())),
     ]
 
     eye = np.eye(d, dtype=complex)
@@ -170,44 +175,38 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
     for kind in kinds:
         tag = kind.value
         spec = s_spec if kind is Channel.S else t_spec
-        z = spec.z_gate
-        # the delta-index projectors, built apart from apply_z, of which z is the matrix
-        p_plus, p_minus = build_projectors(spec)
-        if kind is Channel.S:
-            trace_plus, trace_minus = n * (n + 1) / 2.0, n * (n - 1) / 2.0
-        else:
-            trace_plus, trace_minus = 1.0, float(d - 1)
+        # the delta-index projectors (p_plus, p_minus), built apart from apply_z, of which spec.z_gate is the matrix
+        projectors = functools.cache(lambda: build_projectors(spec))
+        traces = (n * (n + 1) / 2.0, n * (n - 1) / 2.0) if kind is Channel.S else (1.0, float(d - 1))
         results += [
-            check(f"projector_idempotence[{tag}]", lambda: _max_abs(p_plus @ p_plus - p_plus, p_minus @ p_minus - p_minus)),
-            check(f"projector_orthogonality[{tag}]", lambda: _max_abs(p_plus @ p_minus)),
-            check(f"projector_completeness[{tag}]", lambda: _max_abs(p_plus + p_minus - eye)),
+            check(f"projector_idempotence[{tag}]", lambda: _max_abs(*(p @ p - p for p in projectors()))),
+            check(f"projector_orthogonality[{tag}]", lambda: _max_abs(np.matmul(*projectors()))),
+            check(f"projector_completeness[{tag}]", lambda: _max_abs(np.add(*projectors()) - eye)),
             check(f"projector_traces[{tag}]",
-                  lambda: _max_abs(np.trace(p_plus).real - trace_plus, np.trace(p_minus).real - trace_minus)),
+                  lambda: _max_abs(*(np.trace(p).real - trace for p, trace in zip(projectors(), traces)))),
             check(f"projector_generator_form[{tag}]", lambda: _max_abs(
-                *(p - g for p, g in zip((p_plus, p_minus), generator_form_projectors(spec, gens))))),
-            check(f"gate_unitarity[{tag}]", lambda: _max_abs(z.conj().T @ z - eye)),
-            check(f"gate_involution[{tag}]", lambda: _max_abs(z @ z - eye)),
-            check(f"gate_hermiticity[{tag}]", lambda: _max_abs(z - z.conj().T)),
+                *(p - g for p, g in zip(projectors(), generator_form_projectors(spec, gens()))))),
+            check(f"gate_unitarity[{tag}]", lambda: _max_abs(spec.z_gate.conj().T @ spec.z_gate - eye)),
+            check(f"gate_involution[{tag}]", lambda: _max_abs(spec.z_gate @ spec.z_gate - eye)),
+            check(f"gate_hermiticity[{tag}]", lambda: _max_abs(spec.z_gate - spec.z_gate.conj().T)),
         ]
         if kind is Channel.S:
-            # the swap as rows of the identity, built apart from apply_z, of which z is the matrix
-            results.append(check("swap_action", lambda: _max_abs(z - eye[np.arange(d).reshape(n, n).T.ravel()])))
+            # the swap as rows of the identity, built apart from apply_z, of which z_gate is the matrix
+            results.append(check("swap_action", lambda: _max_abs(spec.z_gate - eye[np.arange(d).reshape(n, n).T.ravel()])))
         else:
             def spectrum():
-                evals = np.linalg.eigvalsh(z)
+                evals = np.linalg.eigvalsh(spec.z_gate)
                 n_plus, n_minus = int(np.sum(evals > 0)), int(np.sum(evals < 0))
                 # a wrong multiplicity adds its miscount, so a passing spectrum keeps its deviation's bits
                 miscount = max(abs(n_plus - 1), abs(n_minus - (d - 1)))
                 return _max_abs(np.abs(evals) - 1.0) + miscount, f"multiplicities +1 x{n_plus}, -1 x{n_minus}"
-            results += [check("u_spectrum", spectrum),
-                        check("u_exponential_form",
-                              lambda: abs(1.0 - abs(np.einsum("ij,ij", z.conj(), u_exponential_form(gens))) / d))]
+            results += [check("u_spectrum", spectrum), check("u_exponential_form", lambda: abs(
+                1.0 - abs(np.einsum("ij,ij", spec.z_gate.conj(), u_exponential_form(gens()))) / d))]
 
-    row_identity, row_swap = crossing_row_deviations(s_spec, t_spec)
-    results += [check("crossing_row_identity", lambda: row_identity), check("crossing_row_swap", lambda: row_swap)]
+    rows = functools.cache(lambda: crossing_row_deviations(s_spec, t_spec))
+    results += [check("crossing_row_identity", lambda: rows()[0]), check("crossing_row_swap", lambda: rows()[1])]
 
     a, b = (complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(2))
-    # both rows read one crossing; a raise is not cached, so each row that needs it fails
     crossing = functools.cache(lambda: _crossing_deviations(AmplitudeCoefficients(s_spec, a, b)))
     results += [check("crossing_coefficient_round_trip", lambda: crossing()[1]),
                 check("crossing_operator_consistency", lambda: crossing()[2])]
@@ -216,7 +215,7 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
     bits = np.frombuffer(rng.randbytes(16 * d * d), dtype="<u8") >> 11
     real, imag = (bits * 2.0 ** -52 - 1.0).reshape(2, d, d)
     op = real + 1j * imag
-    results.append(check("decompose_round_trip", lambda: _max_abs(reconstruct(decompose(op, gens)) - op)))
+    results.append(check("decompose_round_trip", lambda: _max_abs(reconstruct(decompose(op, gens())) - op)))
     return results
 
 
@@ -321,25 +320,27 @@ def cmd_cross(args: argparse.Namespace) -> tuple[str, bool]:
     return _json(payload), all_passed
 
 
-def cmd_disk(args: argparse.Namespace) -> tuple[str, bool]:
+def cmd_disk(args: argparse.Namespace) -> tuple[Iterator[str], bool]:
+    # built before any piece, so a bad --resolution raises before --output is opened
     thetas, a_column, b_column = disk_samples(args.resolution)
     # norm_sq on each row's Python complexes: np.abs(a) ** 2 rounds some rows to other bits
     rows = ((theta, a, b, abs(a) ** 2 + abs(b) ** 2)
             for theta, a, b in zip(thetas.tolist(), a_column.tolist(), b_column.tolist()))
-    if args.format == "json":
-        payload = {
-            "resolution": args.resolution,
-            "rows": [{"theta": theta, "phi": 0.0, "a": _cplx(a), "b": _cplx(b), "norm_sq": norm_sq}
-                     for theta, a, b, norm_sq in rows],
-        }
-        return _json(payload), True
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["theta", "phi", "re_a", "im_a", "re_b", "im_b", "norm_sq"])
-    for theta, a, b, norm_sq in rows:
-        # csv.writer writes each float as its repr
-        writer.writerow([theta, 0.0, a.real, a.imag, b.real, b.imag, norm_sq])
-    return buffer.getvalue(), True
+    def pieces():
+        # one piece per row, so the table is never held whole: _json's bytes, each row's lines indented under
+        # "rows", or csv.writer's, each float by its repr and each row ended by \r\n
+        if args.format == "json":
+            encode = json.JSONEncoder(indent=2, allow_nan=False).encode
+            yield f'{{\n  "resolution": {args.resolution},\n  "rows": [\n'
+            for k, (theta, a, b, norm_sq) in enumerate(rows):
+                row = {"theta": theta, "phi": 0.0, "a": _cplx(a), "b": _cplx(b), "norm_sq": norm_sq}
+                yield (",\n    " if k else "    ") + encode(row).replace("\n", "\n    ")
+            yield "\n  ]\n}\n"
+        else:
+            yield "theta,phi,re_a,im_a,re_b,im_b,norm_sq\r\n"
+            for theta, a, b, norm_sq in rows:
+                yield ",".join(map(repr, (theta, 0.0, a.real, a.imag, b.real, b.imag, norm_sq))) + "\r\n"
+    return pieces(), True
 
 
 def read_sectors(path: str) -> list[PartialWaveSector]:
@@ -457,12 +458,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             text, passed = args.run(args)
-        if args.output:
             # newline="" keeps the bytes stdout would get, the CSV's \r\n included
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            out = open(args.output, "w", encoding="utf-8", newline="") if args.output else contextlib.nullcontext(sys.stdout)
+            with out as fh:
+                # a command's text is one str, or an iterable of str pieces written as they come
+                fh.writelines([text] if isinstance(text, str) else text)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
     except ArithmeticError as exc:
         # name the command and its numeric input as given on the command line

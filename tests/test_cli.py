@@ -298,6 +298,50 @@ def test_a_nonfinite_deviation_is_a_failing_row(capsys, monkeypatch, case):
         assert row["detail"].startswith(detail_start) and row["detail"].endswith("max_deviation is nan")
 
 
+def raising(owner, name):
+    """A fault: ``owner.name`` raises ``ValueError("injected")`` whatever it is given."""
+    def raise_injected(*args):
+        raise ValueError("injected")
+    return fault(owner, name, lambda _: raise_injected)
+
+
+#: Each construction of ``verify`` raising, with the rows at N = 3 that read it: those rows alone fail
+RAISING_FAULTS = {
+    "build_generators": (raising(cli, "build_generators"), [
+        "generator_hermiticity", "generator_tracelessness", "generator_orthonormality", "completeness_identity",
+        "projector_generator_form[s]", "projector_generator_form[t]", "u_exponential_form", "decompose_round_trip"]),
+    "build_projectors": (raising(cli, "build_projectors"), [
+        f"projector_{check}[{tag}]" for tag in "st"
+        for check in ("idempotence", "orthogonality", "completeness", "traces", "generator_form")]),
+    "apply_z": (raising(ChannelSpec, "apply_z"), [
+        *(f"gate_{check}[{tag}]" for tag in "st" for check in ("unitarity", "involution", "hermiticity")),
+        "swap_action", "u_spectrum", "u_exponential_form"]),
+    "crossing_row_deviations": (raising(cli, "crossing_row_deviations"),
+                                ["crossing_row_identity", "crossing_row_swap"]),
+}
+
+
+@pytest.mark.parametrize("case", RAISING_FAULTS)
+def test_a_raising_construction_fails_exactly_the_rows_that_read_it(capsys, monkeypatch, case):
+    # each construction is built inside the rows that read it, so its raise is a failing row, not exit 2
+    install, failing = RAISING_FAULTS[case]
+    install(monkeypatch)
+    code, payload = verify_stdout(capsys, "--n", "3")
+    assert code == 1 and not payload["all_passed"]
+    assert [row["name"] for row in payload["checks"]] == CHECK_NAMES
+    assert {row["name"]: (row["max_deviation"], row.get("detail")) for row in payload["checks"]
+            if not row["passed"]} == dict.fromkeys(failing, (None, "ValueError: injected; max_deviation is nan"))
+
+
+def test_identity_sweep_tabulates_a_raising_construction(capsys, monkeypatch):
+    sweep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "identity_sweep.py"))
+    RAISING_FAULTS["crossing_row_deviations"][0](monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["identity_sweep.py", "--max-n", "3"])
+    assert sweep["main"]() == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-1].startswith("worst deviation nan;")
+
+
 def test_identity_sweep_reports_a_nan_as_its_worst_deviation(capsys, monkeypatch):
     # the nan round trip is the last row at every N, after finite rows that max() would have kept
     sweep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "identity_sweep.py"))
@@ -483,6 +527,19 @@ def test_disk_text_matches_the_row_formulas(capsys, resolution, fmt):
     # the first differing line, not a diff of the whole text, which takes minutes at resolution 257
     assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
     assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_disk_writes_its_table_row_by_row(tmp_path, fmt):
+    # 65,536 rows at resolution 256, 5.9 MB of csv or 14.8 MB of json text; held whole, they peak at 18.9 and 132 MB
+    tracemalloc.start()
+    try:
+        code = main(["disk", "--resolution", "256", "--format", fmt, "--output", str(tmp_path / "disk")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16e6, peak
 
 
 @pytest.mark.parametrize("args", [
