@@ -35,7 +35,7 @@ COMMANDS = [
     *(["encode", "--n", str(n), "--channel", channel, *COEFFICIENTS, f"--psi={psi}"]
       for n, psi in PSI.items() for channel in "st"),
     *(["cross", "--n", str(n), *COEFFICIENTS] for n in (2, 3, 17, 64)),
-    ["generators", "--n", "3"],
+    *(["generators", "--n", str(n)] for n in (3, 16)),
     *(["disk", "--resolution", str(r), "--format", fmt] for r in (2, 8, 64, 257) for fmt in ("csv", "json")),
     ["partial-wave", "sectors.csv"],
 ]

@@ -142,9 +142,9 @@ class PartialWaveSector:
         return _finite("eigen_minus", 1.0 + 1j * float(self.kappa_j) * (complex(self.a_j) - complex(self.b_j)))
 
 
-#: Largest ``disk_samples`` resolution: the table has resolution^2 rows, which ``disk`` writes one by one.
-#: Peak RSS of the whole ``disk`` process (Python 3.11, numpy 2.4, Xeon), csv and json alike: 68 MB at 512
-#: and 182 MB at 1024, most of it the columns as Python lists; 1024 takes about 7.5 s as csv, 33 s as json.
+#: Largest ``disk_samples`` resolution: the table has resolution^2 rows, which ``disk`` writes one radius at a time.
+#: Peak RSS of the whole ``disk`` process (Python 3.11, numpy 2.4, 2 shared Xeon vCPUs), csv and json alike:
+#: 37 MB at 512 and 62 MB at 1024, 33.6 MB of it the three columns; 1024 takes 4.4-6.6 s in either format.
 MAX_DISK_RESOLUTION = 1024
 
 
@@ -157,7 +157,7 @@ def disk_samples(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``resolution`` rows are the boundary r = 1 (|a|^2 + |b|^2 = 1, including
     the pure-identity point theta = 0 and the pure-Z point theta = pi/2); the
     rest take r = k / resolution, k = 1 .. resolution - 1, all with
-    |a|^2 + |b|^2 < 1.  theta is float64, a and b complex128.  ``resolution``
+    |a|^2 + |b|^2 < 1.  theta and a are float64, b complex128.  ``resolution``
     is an integer from 2 to ``MAX_DISK_RESOLUTION``: ``TypeError`` names any
     other type, ``ValueError`` a value out of that range.
     """

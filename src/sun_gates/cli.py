@@ -321,25 +321,26 @@ def cmd_cross(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def cmd_disk(args: argparse.Namespace) -> tuple[Iterator[str], bool]:
-    # built before any piece, so a bad --resolution raises before --output is opened
-    thetas, a_column, b_column = disk_samples(args.resolution)
-    # norm_sq on each row's Python complexes: np.abs(a) ** 2 rounds some rows to other bits
-    rows = ((theta, a, b, abs(a) ** 2 + abs(b) ** 2)
-            for theta, a, b in zip(thetas.tolist(), a_column.tolist(), b_column.tolist()))
+    # built and checked before any piece, so a bad --resolution or a non-finite sample raises before --output opens
+    columns = disk_samples(args.resolution)
+    if not all(np.isfinite(column).all() for column in columns):
+        raise ValueError("disk samples must be finite, got a nan or infinite entry")
+    # (header, row, separator, footer): _json's bytes or csv.writer's; each of the row's seven floats (theta, phi,
+    # re a, im a, re b, im b, norm_sq) prints by its repr, as both of them print a float
+    header, row, separator, footer = {
+        "csv": ("theta,phi,re_a,im_a,re_b,im_b,norm_sq\r\n", ",".join(["%r"] * 7), "\r\n", "\r\n"),
+        "json": (f'{{\n  "resolution": {args.resolution},\n  "rows": [\n',
+                 '    {\n      "theta": %r,\n      "phi": %r,\n      "a": [\n        %r,\n        %r\n      ],\n'
+                 '      "b": [\n        %r,\n        %r\n      ],\n      "norm_sq": %r\n    }', ",\n", "\n  ]\n}\n"),
+    }[args.format]
     def pieces():
-        # one piece per row, so the table is never held whole: _json's bytes, each row's lines indented under
-        # "rows", or csv.writer's, each float by its repr and each row ended by \r\n
-        if args.format == "json":
-            encode = json.JSONEncoder(indent=2, allow_nan=False).encode
-            yield f'{{\n  "resolution": {args.resolution},\n  "rows": [\n'
-            for k, (theta, a, b, norm_sq) in enumerate(rows):
-                row = {"theta": theta, "phi": 0.0, "a": _cplx(a), "b": _cplx(b), "norm_sq": norm_sq}
-                yield (",\n    " if k else "    ") + encode(row).replace("\n", "\n    ")
-            yield "\n  ]\n}\n"
-        else:
-            yield "theta,phi,re_a,im_a,re_b,im_b,norm_sq\r\n"
-            for theta, a, b, norm_sq in rows:
-                yield ",".join(map(repr, (theta, 0.0, a.real, a.imag, b.real, b.imag, norm_sq))) + "\r\n"
+        # one piece per radius, so no column is ever held whole as Python objects
+        for start in range(0, columns[0].size, args.resolution):
+            rows = zip(*(column[start:start + args.resolution].tolist() for column in columns))
+            # norm_sq on each row's Python numbers: np.abs(a) ** 2 rounds some rows to other bits
+            yield (separator if start else header) + separator.join(
+                row % (theta, 0.0, a.real, a.imag, b.real, b.imag, abs(a) ** 2 + abs(b) ** 2) for theta, a, b in rows)
+        yield footer
     return pieces(), True
 
 

@@ -263,6 +263,7 @@ def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficien
     and (k,k,l,l).  At each of those points (a,b,c,d) both sides are read from their delta pairings:
     I = d_ac d_bd, S = d_ad d_bc and Z_t = (2/N) d_ab d_cd - d_ac d_bd, with M_s taken at the legs
     ``np.argsort(axes)`` of the point, where ``crossing_map`` read it; every other entry is 0 - 0.
+    ``ValueError`` is raised, too, unless it reads all 4N^2 of those points: a max over fewer misses the rest.
     """
     if (s.channel.kind, t.channel.kind, t.channel.n) != (Channel.S, Channel.T, s.channel.n):
         raise ValueError(f"expected the s and t channel of one N, got {s.channel} and {t.channel}")
@@ -272,6 +273,8 @@ def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficien
     k, l = np.divmod(np.arange(n * n), n)
     diag, swap, block = (k, l, k, l), (l, k, k, l), (k, k, l, l)
     points = np.concatenate([[x[axis] for axis in axes] for x in (diag, swap)] + [diag, block], axis=1)
+    if points.shape[1] != 4 * s.channel.n ** 2:
+        raise ValueError(f"reads {points.shape[1]} of the {4 * s.channel.n ** 2} support points")
     a, b, c, d = points
     i, j, p, q = (points[leg] for leg in np.argsort(axes))
     direct = (a == c) & (b == d)

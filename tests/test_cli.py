@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from sun_gates import cli
 from sun_gates import invariant_channels as channels
-from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
+from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator, disk_samples
 from sun_gates.cli import DIMENSION_LIMITS, build_parser, main, parse_complex
 from sun_gates.invariant_channels import Channel, ChannelSpec, crossing_map, crossing_operator_deviation
 from sun_gates.lcu_encoder import plan_encoding, verify_block
@@ -260,6 +260,26 @@ def nan_pair_head(pair):
     return np.nan * pair[0], pair[1]
 
 
+class ShrunkArange:
+    """numpy with ``arange(stop)`` read as ``arange(stop / stop)``: the crossing check's support is then 4 points."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def arange(stop):
+        return np.arange(stop / stop)
+
+
+def shrunk_support(rows):
+    """``rows`` with ``invariant_channels`` reading ``ShrunkArange`` as numpy inside each call alone."""
+    def call(s, t):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(channels, "np", ShrunkArange())
+            return rows(s, t)
+    return call
+
+
 #: Faults that make a check's deviation nan, each with the checks it names and how their detail starts;
 #: a construction that raises while its check measures names its exception there
 NONFINITE_FAULTS = {
@@ -282,6 +302,9 @@ NONFINITE_FAULTS = {
                        "FloatingPointError: overflow"),
     "nan_apply_z": (fault(ChannelSpec, "apply_z", lambda apply_z: lambda spec, psi: np.nan * apply_z(spec, psi)),
                     ["u_spectrum"], "LinAlgError: "),
+    # a crossing check that compares 4 of its 4N^2 support points raises, in both rows that read the gate relations
+    "shrunk_crossing_support": (fault(cli, "crossing_row_deviations", shrunk_support),
+                                ["crossing_row_identity", "crossing_row_swap"], "ValueError: reads 4 of the 36 "),
 }
 
 
@@ -539,7 +562,25 @@ def test_disk_writes_its_table_row_by_row(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 16e6, peak
+    # the three columns and at most 1 MB more: one radius of rows at a time, never a whole column as Python objects
+    assert peak < sum(column.nbytes for column in disk_samples(256)) + 1e6, peak
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["theta", "a", "b"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nonfinite_disk_sample_exits_2_before_any_output(tmp_path, capsys, monkeypatch, fmt, column):
+    # checked before the first piece: stdout stays empty, and --output is never opened
+    def nan_in_row_1(columns):
+        columns = [c.copy() for c in columns]
+        columns[column][1] = np.nan
+        return tuple(columns)
+    result_fault(cli, "disk_samples", nan_in_row_1)(monkeypatch)
+    args = ["disk", "--resolution", "8", "--format", fmt]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: disk samples must be finite, got a nan or infinite entry\n"
+    assert main([*args, "--output", str(tmp_path / "disk")]) == 2
+    assert not (tmp_path / "disk").exists()
 
 
 @pytest.mark.parametrize("args", [
