@@ -95,17 +95,14 @@ def _cplx(z: complex) -> list[float]:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the ``re,im`` complex-argument syntax; both parts must be finite."""
+    """Parse the ``re,im`` complex-argument syntax; ``AmplitudeCoefficients`` judges whether the value is finite."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"complex values use the re,im syntax, got {text!r}")
     try:
-        value = complex(float(parts[0]), float(parts[1]))
+        return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ValueError(f"complex values use the re,im syntax with two real numbers, got {text!r}") from None
-    if not np.isfinite(value):
-        raise ValueError(f"complex value must be finite, got {text!r}")
-    return value
 
 
 def checked_argument(convert, accept, requirement: str):

@@ -178,7 +178,7 @@ def build_projectors(channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generator_form_projectors(channel: ChannelSpec, gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
-    """Channel projectors rebuilt from the generator bilinear.
+    """Channel projectors rebuilt from the generator bilinear X, each affine in it: c_plus I + k X, c_minus I - k X.
 
     s-channel, with X = sum_a T^a (x) T^a:
         P_plus = (N+1)/(2N) I + X,  P_minus = (N-1)/(2N) I - X.
@@ -192,16 +192,14 @@ def generator_form_projectors(channel: ChannelSpec, gens: GeneratorSet) -> tuple
     if channel.n != gens.n:
         raise ValueError(f"channel is for N={channel.n}, generators for N={gens.n}")
     n = channel.n
-    eye = np.eye(n * n, dtype=complex)
     if channel.kind is Channel.S:
         x = _regroup(gens.fierz, (0, 2, 1, 3))
-        p_plus = (n + 1) / (2.0 * n) * eye + x
-        p_minus = (n - 1) / (2.0 * n) * eye - x
+        c_plus, c_minus, k = (n + 1) / (2.0 * n), (n - 1) / (2.0 * n), 1.0
     else:
         x = charge_parity_bilinear(gens)
-        p_plus = eye / (n * n) + (2.0 / n) * x
-        p_minus = (1.0 - 1.0 / (n * n)) * eye - (2.0 / n) * x
-    return p_plus, p_minus
+        c_plus, c_minus, k = 1.0 / (n * n), 1.0 - 1.0 / (n * n), 2.0 / n
+    eye = np.eye(n * n, dtype=complex)
+    return c_plus * eye + k * x, c_minus * eye - k * x
 
 
 def charge_parity_bilinear(gens: GeneratorSet) -> np.ndarray:

@@ -104,21 +104,17 @@ def build_generators(n: int) -> GeneratorSet:
         If n < 2.
     """
     n = qudit_dimension(n)
-    mats = []
-    for upper, lower in ((0.5, 0.5), (-0.5j, 0.5j)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = np.zeros((n, n), dtype=complex)
-                m[i, j], m[j, i] = upper, lower
-                mats.append(m)
+    pairs = n * (n - 1) // 2
+    t = np.zeros((n * n - 1, n, n), dtype=complex)
+    i, j = np.triu_indices(n, 1)
+    a = np.arange(pairs)
+    t[a, i, j], t[a, j, i] = 0.5, 0.5
+    t[pairs + a, i, j], t[pairs + a, j, i] = -0.5j, 0.5j
     for l in range(1, n):
-        diag = np.zeros(n)
-        diag[:l] = 1.0
-        diag[l] = -float(l)
-        # normalization sqrt(2 / (l (l+1))) / 2 gives Tr(T^2) = 1/2
-        mats.append(np.diag(diag).astype(complex) * (np.sqrt(2.0 / (l * (l + 1))) / 2.0))
-
-    return GeneratorSet(n=n, generators=np.array(mats))
+        # diag(1, ..., 1, -l) on the first l + 1 entries, times sqrt(2 / (l (l+1))) / 2 so that Tr(T^2) = 1/2
+        np.fill_diagonal(t[2 * pairs + l - 1, :l + 1, :l + 1],
+                         np.append(np.ones(l), -float(l)) * (np.sqrt(2.0 / (l * (l + 1))) / 2.0))
+    return GeneratorSet(n=n, generators=t)
 
 
 def hermiticity_deviation(gens: GeneratorSet) -> float:

@@ -461,6 +461,16 @@ def test_non_finite_input_exits_2(tmp_path, capsys, monkeypatch, args, env):
 
 
 @pytest.mark.parametrize("args, message", [
+    (["encode", "--n", "2", "--a=inf,0", "--b=1,0"], "coefficient a must be finite, got (inf+0j)"),
+    (["cross", "--n", "2", "--a=1,0", "--b=nan,0"], "coefficient b must be finite, got (nan+0j)"),
+], ids=["encode-a", "cross-b"])
+def test_a_non_finite_coefficient_is_named(capsys, args, message):
+    # AmplitudeCoefficients is the one finiteness rule for --a and --b, in both commands that read them
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, message", [
     (["encode", "--n", "2", "--a=abc,0", "--b=0,0"],
      "complex values use the re,im syntax with two real numbers, got 'abc,0'"),
     (["encode", "--n", "2", "--a=1,0", "--b=0,0", "--psi=abc,0,0,0"],

@@ -381,3 +381,22 @@ def test_channel_spec_allocates_no_dense_array_until_z_gate_is_read(kind):
 def test_generator_form_projectors_dimension_mismatch():
     with pytest.raises(ValueError):
         generator_form_projectors(ChannelSpec(Channel.S, 3), build_generators(2))
+
+
+def branch_generator_form(channel, gens):
+    """Each channel's generator-form projector pair written out in its own branch."""
+    n = channel.n
+    eye = np.eye(n * n, dtype=complex)
+    if channel.kind is Channel.S:
+        x = gens.fierz.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        return (n + 1) / (2.0 * n) * eye + x, (n - 1) / (2.0 * n) * eye - x
+    x = charge_parity_bilinear(gens)
+    return eye / (n * n) + (2.0 / n) * x, (1.0 - 1.0 / (n * n)) * eye - (2.0 / n) * x
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("kind", [Channel.S, Channel.T])
+def test_generator_form_matches_the_per_channel_branches_bit_for_bit(n, kind):
+    spec, gens = ChannelSpec(kind, n), build_generators(n)
+    assert [p.tobytes() for p in generator_form_projectors(spec, gens)] == \
+        [p.tobytes() for p in branch_generator_form(spec, gens)]

@@ -113,3 +113,26 @@ def test_generator_matrices_are_read_only():
     gens = build_generators(3)
     with pytest.raises(ValueError):
         gens.generators[0, 0, 0] = 1.0
+
+
+def loop_generators(n):
+    """The generator stack built one matrix at a time: each pair and each diagonal generator its own array."""
+    mats = []
+    for upper, lower in ((0.5, 0.5), (-0.5j, 0.5j)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                m = np.zeros((n, n), dtype=complex)
+                m[i, j], m[j, i] = upper, lower
+                mats.append(m)
+    for l in range(1, n):
+        diag = np.zeros(n)
+        diag[:l] = 1.0
+        diag[l] = -float(l)
+        mats.append(np.diag(diag).astype(complex) * (np.sqrt(2.0 / (l * (l + 1))) / 2.0))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_generators_match_the_per_matrix_loop_bit_for_bit(n):
+    # signed zeros included: the antisymmetric upper entry -0.5j has real part -0.0
+    assert build_generators(n).generators.tobytes() == loop_generators(n).tobytes()
