@@ -3,7 +3,9 @@
 
 Draws (a, b), builds the one-ancilla circuit, checks the block identity and
 W's unitarity on the circuit's 2x2 ancilla factors, runs ancilla postselection
-on a random state, and prints the exported circuit JSON.
+on a random state, and prints the exported circuit JSON.  Exits 1 unless both
+deviations are within 1e-12 and the postselection probability matches the
+direct application of the projectors to 1e-12 relative.
 
 Usage: python scripts/block_encoding_demo.py [--n 3] [--channel t] [--seed 1]
 """
@@ -51,12 +53,14 @@ def main():
     # Z as P_plus - P_minus of the delta-index projectors, built apart from the apply_z that postselection uses
     p_plus, p_minus = build_projectors(spec)
     direct = np.linalg.norm(a * psi + b * ((p_plus - p_minus) @ psi)) ** 2 / plan.alpha ** 2
+    matches = abs(result.success_probability - direct) <= 1e-12 * direct
     print(f"postselection probability: {result.success_probability:.6f} "
-          f"(direct application: {direct:.6f})")
+          f"(direct application: {direct:.6f}, match: {matches})")
 
     print("\nexported circuit:")
     print(json.dumps(export_circuit(plan), indent=2))
+    return 0 if passed and matches else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -48,6 +48,7 @@ from .invariant_channels import (
     crossing_operator_deviation,
     crossing_row_deviations,
     generator_form_projectors,
+    swap_matrix,
     u_exponential_form,
 )
 from .lcu_encoder import (
@@ -188,8 +189,8 @@ def identity_checks(n: int, kinds: list[Channel], seed: int) -> list[CheckResult
             check(f"gate_hermiticity[{tag}]", lambda: _max_abs(spec.z_gate - spec.z_gate.conj().T)),
         ]
         if kind is Channel.S:
-            # the swap as rows of the identity, built apart from apply_z, of which z_gate is the matrix
-            results.append(check("swap_action", lambda: _max_abs(spec.z_gate - eye[np.arange(d).reshape(n, n).T.ravel()])))
+            # the swap as the regrouped identity, built apart from apply_z, of which z_gate is the matrix
+            results.append(check("swap_action", lambda: _max_abs(spec.z_gate - swap_matrix(n))))
         else:
             def spectrum():
                 evals = np.linalg.eigvalsh(spec.z_gate)

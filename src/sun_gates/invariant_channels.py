@@ -30,13 +30,14 @@ is the partial transpose, i.e. the crossing, of the s-channel one.
 
 The crossing reshuffle relating the two channel gate bases is the index
 regrouping crossed[(a,b),(c,d)] = op[(a,d),(b,c)]: the first outgoing leg is a
-spectator while the remaining legs are re-paired.  It was selected empirically
-(see ``select_crossing_axes``) as the unique spectator-fixing permutation
-satisfying both gate relations crossed(identity) = (N/2)(identity + charge
-parity) and crossed(swap) = identity.  Every crossing identity is one call of
-``crossing_operator_deviation``, which compares crossed(a I + b S) of an
-s-channel ``AmplitudeCoefficients`` with a' I + b' Z_t of a t-channel one on
-the O(N^2) entries the two hold; no other module reads ``CROSSING_AXES`` or
+spectator while the remaining legs are re-paired.  ``select_crossing_axes``
+selects it empirically, on dense regroupings, as the unique spectator-fixing
+permutation satisfying both gate relations crossed(identity) = (N/2)(identity
++ charge parity) and crossed(swap) = identity.  Every crossing identity is one
+call of ``crossing_operator_deviation``, which reads ``CROSSING_AXES`` and
+compares crossed(a I + b S) of an s-channel ``AmplitudeCoefficients`` with
+a' I + b' Z_t of a t-channel one on the O(N^2) entries the two hold; the
+oracle shares no code with it, and no other module reads ``CROSSING_AXES`` or
 the entries of Z_t.
 """
 
@@ -243,38 +244,33 @@ def crossing_map(op: np.ndarray) -> np.ndarray:
     return _regroup(op, CROSSING_AXES)
 
 
-def crossing_row_deviations(s: ChannelSpec, t: ChannelSpec,
-                            axes: tuple[int, ...] = CROSSING_AXES) -> tuple[float, float]:
-    """Max deviations |crossed(I) - (N/2)(I + Z_t)| and |crossed(SWAP) - I| under ``axes``, by ``crossing_operator_deviation``."""
+def crossing_row_deviations(s: ChannelSpec, t: ChannelSpec) -> tuple[float, float]:
+    """Max deviations |crossed(I) - (N/2)(I + Z_t)| and |crossed(SWAP) - I|, by ``crossing_operator_deviation``."""
     half = s.n / 2.0
-    return (crossing_operator_deviation(AmplitudeCoefficients(s, 1.0, 0.0), AmplitudeCoefficients(t, half, half), axes),
-            crossing_operator_deviation(AmplitudeCoefficients(s, 0.0, 1.0), AmplitudeCoefficients(t, 1.0, 0.0), axes))
+    return (crossing_operator_deviation(AmplitudeCoefficients(s, 1.0, 0.0), AmplitudeCoefficients(t, half, half)),
+            crossing_operator_deviation(AmplitudeCoefficients(s, 0.0, 1.0), AmplitudeCoefficients(t, 1.0, 0.0)))
 
 
-def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficients,
-                                axes: tuple[int, ...] = CROSSING_AXES) -> float:
+def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficients) -> float:
     """max |crossed(M_s) - M_t| over all N^4 entries, read from the O(N^2) entries the two hold.
 
     ``s`` is M_s = a I + b S and ``t`` is M_t = a' I + b' Z_t of one N; ``ValueError`` names any other
-    pair of channels, or ``axes`` unless it permutes the four legs.  M_s is nonzero at (k,l,k,l) and
-    (l,k,k,l), which ``axes`` moves as ``crossing_map`` moves them by ``CROSSING_AXES``; M_t at (k,l,k,l)
-    and (k,k,l,l).  At each of those points (a,b,c,d) both sides are read from their delta pairings:
-    I = d_ac d_bd, S = d_ad d_bc and Z_t = (2/N) d_ab d_cd - d_ac d_bd, with M_s taken at the legs
-    ``np.argsort(axes)`` of the point, where ``crossing_map`` read it; every other entry is 0 - 0.
-    ``ValueError`` is raised, too, unless it reads all 4N^2 of those points: a max over fewer misses the rest.
+    pair of channels.  M_s is nonzero at (k,l,k,l) and (l,k,k,l), which ``CROSSING_AXES`` moves as
+    ``crossing_map`` moves them; M_t at (k,l,k,l) and (k,k,l,l).  At each of those points (a,b,c,d) both
+    sides are read from their delta pairings: I = d_ac d_bd, S = d_ad d_bc and Z_t = (2/N) d_ab d_cd - d_ac d_bd,
+    with M_s taken at the legs ``np.argsort(CROSSING_AXES)`` of the point, where ``crossing_map`` read it; every other
+    entry is 0 - 0.  ``ValueError`` is raised unless it reads all 4N^2 of those points: a max over fewer misses the rest.
     """
     if (s.channel.kind, t.channel.kind, t.channel.n) != (Channel.S, Channel.T, s.channel.n):
         raise ValueError(f"expected the s and t channel of one N, got {s.channel} and {t.channel}")
-    if sorted(axes) != [0, 1, 2, 3]:
-        raise ValueError(f"axes must permute the four legs (0, 1, 2, 3), got {axes!r}")
     n = s.channel.n
     k, l = np.divmod(np.arange(n * n), n)
     diag, swap, block = (k, l, k, l), (l, k, k, l), (k, k, l, l)
-    points = np.concatenate([[x[axis] for axis in axes] for x in (diag, swap)] + [diag, block], axis=1)
+    points = np.concatenate([[x[axis] for axis in CROSSING_AXES] for x in (diag, swap)] + [diag, block], axis=1)
     if points.shape[1] != 4 * s.channel.n ** 2:
         raise ValueError(f"reads {points.shape[1]} of the {4 * s.channel.n ** 2} support points")
     a, b, c, d = points
-    i, j, p, q = (points[leg] for leg in np.argsort(axes))
+    i, j, p, q = (points[leg] for leg in np.argsort(CROSSING_AXES))
     direct = (a == c) & (b == d)
     m_s = s.a * ((i == p) & (j == q)) + s.b * ((i == q) & (j == p))
     m_t = t.a * direct + t.b * ((2.0 / n) * ((a == b) & (c == d)) - direct)
@@ -282,14 +278,16 @@ def crossing_operator_deviation(s: AmplitudeCoefficients, t: AmplitudeCoefficien
 
 
 def select_crossing_axes(n: int) -> list[tuple[int, ...]]:
-    """Empirical selection oracle for the crossing reshuffle.
+    """Empirical selection oracle for the crossing reshuffle, on the dense regrouping ``crossing_map`` applies.
 
     Enumerates the six index regroupings that keep the first outgoing leg as a
     spectator and returns those satisfying both gate relations
     crossed(identity) = (N/2)(identity + charge parity) and
-    crossed(swap) = identity at dimension ``n`` to 1e-12.  Exactly one candidate
-    survives; ``CROSSING_AXES`` hard-codes it.
+    crossed(swap) = identity over all N^4 entries at dimension ``n`` to 1e-12.
+    Exactly one candidate survives; ``CROSSING_AXES`` hard-codes it.
     """
-    s, t = ChannelSpec(Channel.S, n), ChannelSpec(Channel.T, n)
+    eye, swap = np.eye(n * n, dtype=complex), swap_matrix(n)
+    crossed_eye = (n / 2.0) * (eye + ChannelSpec(Channel.T, n).z_gate)
     candidates = [(0,) + tail for tail in permutations((1, 2, 3))]
-    return [axes for axes in candidates if max(crossing_row_deviations(s, t, axes)) <= 1e-12]
+    return [axes for axes in candidates
+            if max(np.abs(_regroup(eye, axes) - crossed_eye).max(), np.abs(_regroup(swap, axes) - eye).max()) <= 1e-12]

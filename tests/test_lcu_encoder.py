@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sun_gates import lcu_encoder
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator
 from sun_gates.invariant_channels import Channel, ChannelSpec, build_projectors
 from sun_gates.lcu_encoder import (
     BlockEncodingPlan,
+    BlockEncodingReport,
     apply_with_postselection,
     build_w,
     export_circuit,
@@ -198,6 +201,10 @@ def test_verify_block_trivial_and_corrupted():
     report = verify_block(off_angle(plan_encoding(coeffs)))
     assert report.block_identity_deviation > 1e-3
     assert report.w_unitarity_deviation <= 1e-12
+    # the block is read against the plan's own alpha, the one `encode` prints: a wrong alpha fails it
+    report = verify_block(dataclasses.replace(plan_encoding(coeffs), alpha=2.0 * plan_encoding(coeffs).alpha))
+    assert report.block_identity_deviation > 0.1
+    assert report.w_unitarity_deviation <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,6 +384,17 @@ def test_block_encoding_demo_script_runs(kind):
     proc = run_script("block_encoding_demo.py", "--n", "2", "--channel", kind)
     assert proc.returncode == 0, proc.stderr
     assert "exported circuit:" in proc.stdout
+
+
+def test_block_encoding_demo_script_exits_1_when_its_check_fails(capsys, monkeypatch):
+    # in process, so a verify_block that reports a deviation of 1.0 reaches the script's own check
+    monkeypatch.setattr(lcu_encoder, "verify_block", lambda plan: BlockEncodingReport(1.0, 0.0))
+    monkeypatch.setattr(sys, "argv", ["block_encoding_demo.py", "--n", "3"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "block_encoding_demo.py"),
+                       run_name="__main__")
+    assert exited.value.code == 1
+    assert "(pass: False)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [["--n", "1"], ["--n", "0"], ["--n", "33"], ["--seed", "-1"]], ids="=".join)
