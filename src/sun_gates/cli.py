@@ -269,12 +269,9 @@ def cmd_encode(args: argparse.Namespace) -> tuple[str, bool]:
     psi = None
     if args.psi is not None:
         try:
-            values = [float(part) for part in args.psi.split(",")]
+            psi = [float(part) for part in args.psi.split(",")]
         except ValueError:
             raise ValueError(f"psi must be {d} comma-separated real amplitudes for N={n}, got {args.psi!r}") from None
-        if len(values) != d:
-            raise ValueError(f"psi must have {d} amplitudes for N={n}, got {len(values)}")
-        psi = np.array(values, dtype=complex)
     channel = ChannelSpec(Channel(args.channel or "s"), n)
     plan = plan_encoding(AmplitudeCoefficients(channel, parse_complex(args.a), parse_complex(args.b)))
     report = verify_block(plan)

@@ -84,6 +84,12 @@ def test_invariance_residual_cases():
     assert invariance_residual(m, projs) <= 1e-12
 
 
+@pytest.mark.parametrize("measure", [scalar_amplitudes, invariance_residual])
+def test_operator_and_projector_shapes_must_match(measure):
+    with pytest.raises(ValueError, match=re.escape("operator shape (4, 4) does not match projector shape (9, 9)")):
+        measure(np.eye(4), build_projectors(ChannelSpec(Channel.S, 3)))
+
+
 def test_cross_coefficients_reference_points():
     spec = ChannelSpec(Channel.S, 2)
     crossed = cross_coefficients(AmplitudeCoefficients(spec, 1.0, 0.0))

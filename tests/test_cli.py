@@ -379,6 +379,36 @@ def test_identity_sweep_reports_a_nan_as_its_worst_deviation(capsys, monkeypatch
     assert capsys.readouterr().out.splitlines()[-1].startswith("worst deviation nan;")
 
 
+def run_sweep_json(capsys, monkeypatch, *args):
+    sweep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "identity_sweep.py"))
+    monkeypatch.setattr(sys, "argv", ["identity_sweep.py", "--json", *args])
+    code = sweep["main"]()
+    out, err = capsys.readouterr()
+    assert err == ""
+    # strict JSON: the parse fails on a NaN or Infinity token
+    return code, json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+
+
+def test_identity_sweep_json_records_every_row_in_units_of_eps(capsys, monkeypatch):
+    code, record = run_sweep_json(capsys, monkeypatch, "--max-n", "3", "--seed", "0", "7")
+    assert code == 0 and record["all_passed"]
+    eps = np.finfo(float).eps
+    assert record["eps"] == eps
+    assert [(run["seed"], run["n"]) for run in record["runs"]] == [(0, 2), (0, 3), (7, 2), (7, 3)]
+    for run in record["runs"]:
+        assert [row["name"] for row in run["checks"]] == CHECK_NAMES and len(CHECK_NAMES) == 28
+        assert all(row["eps_units"] == row["max_deviation"] / eps for row in run["checks"])
+
+
+def test_identity_sweep_json_prints_a_nan_row_as_null(capsys, monkeypatch):
+    NONFINITE_FAULTS["decompose_nan_corr"][0](monkeypatch)
+    code, record = run_sweep_json(capsys, monkeypatch, "--max-n", "2")
+    assert code == 1 and not record["all_passed"] and record["worst_deviation"] is None
+    rows = record["runs"][0]["checks"]
+    assert any(row["max_deviation"] is None for row in rows)
+    assert all((row["max_deviation"] is None) == (row["eps_units"] is None) for row in rows)
+
+
 def test_identity_sweep_prints_its_table_under_a_generator_fault(capsys, monkeypatch):
     # the script's main in process, so the fault reaches the identity suite it calls
     sweep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "identity_sweep.py"))
@@ -443,8 +473,14 @@ def test_encode_rejects_zero_amplitude(tmp_path, capsys):
     assert "zero amplitude" in capsys.readouterr().err
 
 
-def test_encode_rejects_bad_psi_length(capsys):
-    assert main(["encode", "--a", "1,0", "--b", "0,0", "--n", "2", "--psi", "1,0"]) == 2
+def test_encode_rejects_bad_psi_length(tmp_path, capsys):
+    # apply_with_postselection is the one length check on --psi, so it names the state vector's length
+    code, text = run(tmp_path, "encode", "--n", "2", "--a=1,0", "--b=0,0", "--psi=1,0")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr() == ("", "error: expected a state vector of length 4, got shape (2,)\n")
+    # the coefficients are checked before the state, so a zero amplitude is named first
+    assert main(["encode", "--n", "2", "--a=0,0", "--b=0,0", "--psi=1,0"]) == 2
+    assert "zero amplitude" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, env", [
@@ -697,6 +733,18 @@ def test_partial_wave_parse_error_reports_line(tmp_path, capsys):
         assert main(["partial-wave", str(sectors)]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and reason in err
+
+
+@pytest.mark.parametrize("table, message", [
+    ("j,a,b\n0,1,0\n", "line 1: expected header j,re_a,im_a,re_b,im_b,kappa, got j,a,b"),
+    ("j,re_a,im_a,re_b,im_b,kappa\n0,1,0,0,0\n", "line 2: expected 6 fields, got 5"),
+], ids=["header", "field-count"])
+def test_partial_wave_malformed_table_is_named(tmp_path, capsys, table, message):
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_text(table)
+    code, text = run(tmp_path, "partial-wave", str(sectors))
+    assert (code, text) == (2, "")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_partial_wave_line_numbers_skip_blanks(tmp_path, capsys):

@@ -252,11 +252,15 @@ def test_crossing_selection_oracle_is_unique(monkeypatch, n):
     assert select_crossing_axes(n) == [CROSSING_AXES]
 
 
-def test_crossing_map_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        crossing_map(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        crossing_map(np.zeros((5, 5)))
+@pytest.mark.parametrize("shape, message", [
+    ((3, 4), "expected a square operator, got shape (3, 4)"),
+    # 4 is a perfect square, so only the square guard stops this one before the reshape
+    ((4, 9), "expected a square operator, got shape (4, 9)"),
+    ((5, 5), "operator size 5 is not a perfect square"),
+], ids=["3x4", "4x9", "5x5"])
+def test_crossing_map_rejects_bad_shapes(shape, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        crossing_map(np.zeros(shape))
 
 
 @pytest.mark.parametrize("kind, a, b, named", [
