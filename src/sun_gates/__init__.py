@@ -38,7 +38,6 @@ from .lcu_encoder import (
     build_w,
     export_circuit,
     plan_encoding,
-    ry,
     verify_block,
 )
 from .qudit_ops import OperatorBasisDecomposition, decompose, reconstruct

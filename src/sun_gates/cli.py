@@ -222,8 +222,12 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def cmd_generators(args: argparse.Namespace) -> tuple[str, bool]:
+def cmd_generators(args: argparse.Namespace) -> tuple[Iterator[str], bool]:
     gens = build_generators(args.n)
+    # %r of a nan or inf entry is no strict JSON; checked before any piece, as _json of the header checks every
+    # other value, so a raise writes nothing
+    if not np.isfinite(gens.generators).all():
+        raise ValueError("generators must be finite, got a nan or infinite entry")
     deviations = {
         "hermiticity_max_deviation": hermiticity_deviation(gens),
         "tracelessness_max_deviation": tracelessness_deviation(gens),
@@ -235,12 +239,22 @@ def cmd_generators(args: argparse.Namespace) -> tuple[str, bool]:
         "n": args.n,
         "tolerance": args.tolerance,
         "generator_count": len(gens),
-        # each entry as its [re, im] pair
-        "generators": gens.generators.view(np.float64).reshape(len(gens), args.n, args.n, 2).tolist(),
+        "generators": "@",  # the placeholder the generator pieces replace; no other value is a string
         **deviations,
         "all_passed": all_passed,
     }
-    return _json(payload), all_passed
+    header, footer = _json(payload).split('"@"')
+    # each entry as its [re, im] pair at _json's depth-4 indent, formatted once per distinct 16 bytes, not per value:
+    # 0.0 == -0.0, so a cache of floats keyed by value would print the antisymmetric generators' -0.0 as 0.0
+    records, index = np.unique(gens.generators.view("V16").ravel(), return_inverse=True)
+    entries = ["\n        [\n          %r,\n          %r\n        ]" % (re, im)
+               for re, im in records.view(np.float64).reshape(-1, 2).tolist()]
+    def pieces():
+        for k, generator in enumerate(index.reshape(gens.generators.shape)):
+            rows = ",".join("\n      [" + ",".join(entries[i] for i in row) + "\n      ]" for row in generator.tolist())
+            yield (",\n    [" if k else header + "[\n    [") + rows + "\n    ]"
+        yield "\n  ]" + footer
+    return pieces(), all_passed
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:

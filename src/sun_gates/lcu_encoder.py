@@ -16,7 +16,8 @@ sign conventions change only unobservable phases; the block identity
 
 The circuit is always four gates and one ancilla, independent of N; it is
 the single definition of W.  Since Z^2 = I, it replays in the Z2 algebra to a
-2x2 pair (A, B) with W = A (x) I + B (x) Z, and only ``build_w`` forms W.
+2x2 pair (A, B) with W = A (x) I + B (x) Z, once per plan on first read, and
+only ``build_w`` forms W.
 A plan keeps the ``AmplitudeCoefficients`` it was planned from, so every
 function takes the plan alone and reads the amplitude, its channel and so Z
 from it.  Postselection needs Z only as an action on the system register,
@@ -26,6 +27,7 @@ from it.  Postselection needs Z only as an action on the system register,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -48,6 +50,27 @@ class BlockEncodingPlan:
         if not isinstance(self.amplitude, AmplitudeCoefficients):
             raise TypeError(f"amplitude must be an AmplitudeCoefficients, got {self.amplitude!r}")
 
+    @cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exported circuit replayed in list order to the 2x2 pair (A, B) with W = A (x) I + B (x) Z.
+
+        A gate (G_A, G_B) acts on (A, B) as (G_A A + G_B B, G_A B + G_B A), since
+        Z^2 = I.  An ``ry`` gate is (R_y(theta), 0); a controlled gate leaves the
+        other ancilla value alone and multiplies its own, |c><c| with
+        c = ``control_value``, by e^{i phase} times its target, I or Z.
+        """
+        a, b = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+        for gate in export_circuit(self)["gates"]:
+            if gate["name"] == "ry":
+                c, s = np.cos(gate["theta"] / 2.0), np.sin(gate["theta"] / 2.0)
+                g_a, g_b = np.array([[c, -s], [s, c]], dtype=complex), np.zeros((2, 2))
+            else:
+                chosen = np.diag(np.eye(2)[gate["control_value"]])
+                other, phased = np.eye(2) - chosen, np.exp(1j * gate["phase"]) * chosen
+                g_a, g_b = (other + phased, np.zeros((2, 2))) if gate["name"] == "cs_identity" else (other, phased)
+            a, b = g_a @ a + g_b @ b, g_a @ b + g_b @ a
+        return a, b
+
 
 @dataclass(frozen=True)
 class BlockEncodingReport:
@@ -68,12 +91,6 @@ class PostselectionResult:
     state: np.ndarray
     success_probability: float
     annihilated: bool
-
-
-def ry(theta: float) -> np.ndarray:
-    """Real 2x2 rotation R_y(theta) about the ancilla y axis."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
@@ -103,7 +120,7 @@ def plan_encoding(coeffs: AmplitudeCoefficients) -> BlockEncodingPlan:
 
 def build_w(plan: BlockEncodingPlan) -> np.ndarray:
     """Assemble the dense ancilla-system unitary W = A (x) I + B (x) Z from the replayed circuit."""
-    a, b = _run_circuit(export_circuit(plan))
+    a, b = plan._pair
     return np.kron(a, plan.amplitude.channel.s_identity) + np.kron(b, plan.amplitude.channel.z_gate)
 
 
@@ -115,7 +132,7 @@ def verify_block(plan: BlockEncodingPlan) -> BlockEncodingReport:
     Z = P+ - P- is a Hermitian involution, so W = W+ (x) P+ + W- (x) P- with
     W+- = A +- B, and the unitarity deviation is max over +- of |W+-^dagger W+- - I|.
     """
-    a, b = _run_circuit(export_circuit(plan))
+    a, b = plan._pair
     # divide re and im apart: complex division multiplies by 1 / alpha, which overflows for a subnormal alpha
     block = max(abs(top - complex(c.real / plan.alpha, c.imag / plan.alpha))
                 for top, c in ((a[0, 0], plan.amplitude.a), (b[0, 0], plan.amplitude.b)))
@@ -138,7 +155,7 @@ def apply_with_postselection(plan: BlockEncodingPlan, psi: np.ndarray) -> Postse
         norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= DEFAULT_TOLERANCE:
         raise ValueError(f"input state must be normalized and finite, got norm {norm}")
-    a, b = _run_circuit(export_circuit(plan))
+    a, b = plan._pair
     branch = a[0, 0] * psi + b[0, 0] * plan.amplitude.channel.apply_z(psi)
     probability = float(np.linalg.norm(branch) ** 2)
     annihilated = probability <= 1e-24
@@ -165,23 +182,3 @@ def export_circuit(plan: BlockEncodingPlan) -> dict[str, Any]:
             {"name": "ry", "target": "ancilla", "theta": -2.0 * plan.gamma},
         ],
     }
-
-
-def _run_circuit(circuit: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
-    """Replay the circuit's gates in list order; return the 2x2 pair (A, B) with W = A (x) I + B (x) Z.
-
-    A gate (G_A, G_B) acts on (A, B) as (G_A A + G_B B, G_A B + G_B A), since
-    Z^2 = I.  An ``ry`` gate is (R_y(theta), 0); a controlled gate leaves the
-    other ancilla value alone and multiplies its own, |c><c| with
-    c = ``control_value``, by e^{i phase} times its target, I or Z.
-    """
-    a, b = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-    for gate in circuit["gates"]:
-        if gate["name"] == "ry":
-            g_a, g_b = ry(gate["theta"]), np.zeros((2, 2))
-        else:
-            chosen = np.diag(np.eye(2)[gate["control_value"]])
-            other, phased = np.eye(2) - chosen, np.exp(1j * gate["phase"]) * chosen
-            g_a, g_b = (other + phased, np.zeros((2, 2))) if gate["name"] == "cs_identity" else (other, phased)
-        a, b = g_a @ a + g_b @ b, g_a @ b + g_b @ a
-    return a, b

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from sun_gates import cli
 from sun_gates import invariant_channels as channels
+from sun_gates import lcu_encoder
 from sun_gates.amplitude_model import AmplitudeCoefficients, amplitude_operator, disk_samples
 from sun_gates.cli import DIMENSION_LIMITS, build_parser, main, parse_complex
 from sun_gates.invariant_channels import Channel, ChannelSpec, crossing_map, crossing_operator_deviation
@@ -69,6 +70,33 @@ def test_generators_n3_completeness(tmp_path):
 def test_generators_rejects_n1(tmp_path, capsys):
     assert main(["generators", "--n", "1"]) == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_generators_text_is_one_json_dump_of_its_payload(capsys, n):
+    # the oracle: one json.dumps of the whole payload, the generators as nested [re, im] lists
+    assert main(["generators", "--n", str(n)]) == 0
+    text = capsys.readouterr().out
+    data = json.loads(text)
+    gens = build_generators(n)
+    data["generators"] = gens.generators.view(np.float64).reshape(len(gens), n, n, 2).tolist()
+    assert text == json.dumps(data, indent=2) + "\n"
+    # the antisymmetric generators' real parts: equal to 0.0, but printed apart from it
+    assert "-0.0" in text
+
+
+def test_generators_at_its_cap_writes_its_text_piece_by_piece(tmp_path):
+    # 52.9 MB of text at N = 32.  The measured peak is 93.5 MB (1.77x), all of it in the identity checks before
+    # the first piece; the text held whole as one str peaks at 2.0x, and one json.dumps of nested lists at 8.4x
+    out = tmp_path / "generators.json"
+    tracemalloc.start()
+    try:
+        code = main(["generators", "--n", str(DIMENSION_LIMITS["generators"]), "--output", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.9 * out.stat().st_size, peak / out.stat().st_size
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -634,6 +662,27 @@ def test_a_nonfinite_disk_sample_exits_2_before_any_output(tmp_path, capsys, mon
     assert not (tmp_path / "disk").exists()
 
 
+def inf_entry(gens):
+    mats = gens.generators.copy()
+    mats[0, 0, 1] = np.inf
+    return GeneratorSet(n=gens.n, generators=mats)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (result_fault(cli, "build_generators", inf_entry), "generators must be finite, got a nan or infinite entry"),
+    (result_fault(cli, "hermiticity_deviation", lambda deviation: np.nan), "not JSON compliant"),
+], ids=["entry", "deviation"])
+def test_a_nonfinite_generators_value_exits_2_before_any_output(tmp_path, capsys, monkeypatch, fault, message):
+    # the entries and, through _json of the header, every other value are checked before the first piece
+    fault(monkeypatch)
+    args = ["generators", "--n", "3"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert main([*args, "--output", str(tmp_path / "generators.json")]) == 2
+    assert not (tmp_path / "generators.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["disk"], ["disk", "--format", "json"], ["verify", "--n", "2"], ["generators", "--n", "2"],
     ["encode", "--n", "2", "--a", "0.5,0", "--b", "0.5,0", "--psi", "0,1,0,0"],
@@ -1068,6 +1117,19 @@ def test_verify_builds_each_channel_once(tmp_path, monkeypatch):
     assert data["all_passed"]
     assert calls == {"build_generators": 1, "build_projectors": 2}
     assert built == {"s": 1, "t": 1}
+
+
+def test_encode_replays_its_plan_once(capsys, monkeypatch):
+    # cli exports the circuit for the payload, and the plan replays its own export once for both of its readers
+    calls = Counter()
+    for module in (cli, lcu_encoder):
+        def counted(plan, name=module.__name__, export=lcu_encoder.export_circuit):
+            calls[name] += 1
+            return export(plan)
+        monkeypatch.setattr(module, "export_circuit", counted)
+    assert main(["encode", "--n", "2", "--a=0.3,0.1", "--b=0.2,0", "--psi=0,0.6,0.8,0"]) == 0
+    assert '"postselection_probability"' in capsys.readouterr().out
+    assert calls == {"sun_gates.cli": 1, "sun_gates.lcu_encoder": 1}
 
 
 def test_verify_leaves_numpy_random_unimported(tmp_path):

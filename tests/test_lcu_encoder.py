@@ -23,7 +23,6 @@ from sun_gates.lcu_encoder import (
     build_w,
     export_circuit,
     plan_encoding,
-    ry,
     verify_block,
 )
 from sun_gates.sun_algebra import DEFAULT_TOLERANCE
@@ -42,9 +41,12 @@ def dense_w(spec, theta, phi_a, phi_b, control_a=0, control_b=1):
     """Reference W assembled from Kronecker products, independent of the circuit replay.
 
     R_y(-theta) [|a><a| (x) e^{i phi_a} I + |b><b| (x) e^{i phi_b} Z] R_y(theta),
-    where a and b are the control values of the identity and Z gates.
+    where a and b are the control values of the identity and Z gates, and
+    R_y(t) = exp(-i t Y / 2) = cos(t/2) I - i sin(t/2) Y with Y the Pauli matrix.
     """
     eye = np.eye(spec.n ** 2, dtype=complex)
+    pauli_y = np.array([[0.0, -1j], [1j, 0.0]])
+    ry = lambda t: np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * pauli_y  # noqa: E731
     project = lambda value: np.diag([1.0 - value, float(value)]).astype(complex)  # noqa: E731
     select = (np.kron(project(control_a), np.exp(1j * phi_a) * spec.s_identity)
               + np.kron(project(control_b), np.exp(1j * phi_b) * spec.z_gate))
@@ -114,12 +116,6 @@ def test_plan_angle_splits_weights(ab):
     assert abs(plan.alpha - (abs(a) + abs(b))) <= 1e-12
     assert abs(np.cos(plan.gamma) ** 2 - abs(a) / plan.alpha) <= 1e-12
     assert abs(np.sin(plan.gamma) ** 2 - abs(b) / plan.alpha) <= 1e-12
-
-
-def test_ry_convention():
-    m = ry(np.pi / 2)
-    s = 1 / np.sqrt(2)
-    np.testing.assert_allclose(m, [[s, -s], [s, s]], atol=1e-15)
 
 
 def test_block_of_identity_plan_is_identity_gate():
