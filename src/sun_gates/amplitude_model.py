@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariant_channels import AmplitudeCoefficients, Channel, ChannelSpec
+from .sun_algebra import finite_array
 
 
 def _finite(name: str, value):
@@ -40,10 +41,8 @@ def scalar_amplitudes(m: np.ndarray, projs: tuple[np.ndarray, np.ndarray]) -> tu
 
     For M = a * identity + b * Z this returns (a + b, a - b).
     """
-    m = np.asarray(m, dtype=complex)
     p_plus, p_minus = projs
-    if m.shape != p_plus.shape:
-        raise ValueError(f"operator shape {m.shape} does not match projector shape {p_plus.shape}")
+    m = finite_array("operator", m, p_plus.shape)
     m_plus = complex(np.einsum("ij,ji", m, p_plus)) / np.trace(p_plus).real
     m_minus = complex(np.einsum("ij,ji", m, p_minus)) / np.trace(p_minus).real
     return m_plus, m_minus
@@ -90,8 +89,9 @@ def unitary_parameterization(theta: float, phi: float, channel: ChannelSpec) -> 
 
     These satisfy |a|^2 + |b|^2 = 1 and Re(a* b) = 0, and the resulting
     amplitude equals e^{i phi} exp(i theta Z): a unitary matrix with
-    eigenvalues e^{i (phi +- theta)}.
+    eigenvalues e^{i (phi +- theta)}.  ``finite_array`` names a non-finite angle.
     """
+    theta, phi = finite_array("theta", theta, ()), finite_array("phi", phi, ())
     phase = np.exp(1j * phi)
     return AmplitudeCoefficients(
         channel=channel,
@@ -120,9 +120,8 @@ class PartialWaveSector:
             raise TypeError(f"angular momentum label j must be an integer, got {self.j!r}")
         if self.j < 0:
             raise ValueError(f"angular momentum label must be non-negative, got {self.j}")
-        values = (self.a_j, self.b_j, self.kappa_j)
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError(f"a_j, b_j and kappa_j must be finite, got {values}")
+        for name in ("a_j", "b_j", "kappa_j"):
+            finite_array(name, getattr(self, name), ())
         if not self.kappa_j > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa_j}")
 

@@ -61,6 +61,7 @@ from .qudit_ops import decompose, reconstruct
 from .sun_algebra import (
     DEFAULT_TOLERANCE,
     build_generators,
+    finite_array,
     hermiticity_deviation,
     orthonormality_deviation,
     tracelessness_deviation,
@@ -224,10 +225,6 @@ def _json(payload: dict) -> str:
 
 def cmd_generators(args: argparse.Namespace) -> tuple[Iterator[str], bool]:
     gens = build_generators(args.n)
-    # %r of a nan or inf entry is no strict JSON; checked before any piece, as _json of the header checks every
-    # other value, so a raise writes nothing
-    if not np.isfinite(gens.generators).all():
-        raise ValueError("generators must be finite, got a nan or infinite entry")
     deviations = {
         "hermiticity_max_deviation": hermiticity_deviation(gens),
         "tracelessness_max_deviation": tracelessness_deviation(gens),
@@ -332,8 +329,8 @@ def cmd_cross(args: argparse.Namespace) -> tuple[str, bool]:
 def cmd_disk(args: argparse.Namespace) -> tuple[Iterator[str], bool]:
     # built and checked before any piece, so a bad --resolution or a non-finite sample raises before --output opens
     columns = disk_samples(args.resolution)
-    if not all(np.isfinite(column).all() for column in columns):
-        raise ValueError("disk samples must be finite, got a nan or infinite entry")
+    for column in columns:
+        finite_array("disk samples", column)
     # (header, row, separator, footer): _json's bytes or csv.writer's; each of the row's seven floats (theta, phi,
     # re a, im a, re b, im b, norm_sq) prints by its repr, as both of them print a float
     header, row, separator, footer = {

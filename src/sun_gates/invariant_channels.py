@@ -43,7 +43,6 @@ the entries of Z_t.
 
 from __future__ import annotations
 
-import cmath
 import enum
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +51,7 @@ from math import isqrt
 
 import numpy as np
 
-from .sun_algebra import GeneratorSet, qudit_dimension
+from .sun_algebra import GeneratorSet, finite_array, qudit_dimension
 
 #: Axes permutation (for a (N,N,N,N)-reshaped operator) implementing the
 #: s -> t crossing reshuffle; select_crossing_axes re-derives it at N = 2, 3, 4.
@@ -109,12 +108,10 @@ class ChannelSpec:
         Raises
         ------
         ValueError
-            If ``psi`` is not of shape (N^2,).
+            Unless ``psi`` is a finite state of shape (N^2,) (see ``finite_array``).
         """
         n = self.n
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (n * n,):
-            raise ValueError(f"expected a state vector of shape ({n * n},), got shape {psi.shape}")
+        psi = finite_array("psi", psi, (n * n,)).astype(complex, copy=False)
         if self.kind is Channel.S:
             return psi.reshape(n, n).T.ravel()
         out = -psi
@@ -134,8 +131,7 @@ class AmplitudeCoefficients:
         if not isinstance(self.channel, ChannelSpec):
             raise TypeError(f"channel must be a ChannelSpec, got {self.channel!r}")
         for name, value in (("a", self.a), ("b", self.b)):
-            if not cmath.isfinite(value):
-                raise ValueError(f"coefficient {name} must be finite, got {value}")
+            finite_array(f"coefficient {name}", value, ())
 
 
 def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -145,7 +141,8 @@ def _regroup(op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def swap_matrix(n: int) -> np.ndarray:
-    """Permutation matrix sending |ij> to |ji>."""
+    """Permutation matrix sending |ij> to |ji>; ``n`` follows ``qudit_dimension``."""
+    n = qudit_dimension(n)
     return _regroup(np.eye(n * n, dtype=complex), (1, 0, 2, 3))
 
 
@@ -234,13 +231,15 @@ def crossing_map(op: np.ndarray) -> np.ndarray:
     """Reshuffle a two-qudit s-channel operator into the t-channel index pairing.
 
     Regroups crossed[(a,b),(c,d)] = op[(a,d),(b,c)].  Amplitudes cross in
-    either direction through ``amplitude_model.cross_coefficients``.
+    either direction through ``amplitude_model.cross_coefficients``.  ``op`` is
+    a finite N^2 x N^2 array (see ``finite_array``) with N >= 2.
     """
-    op = np.asarray(op)
+    op = finite_array("operator", op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square operator, got shape {op.shape}")
     if isqrt(op.shape[0]) ** 2 != op.shape[0]:
         raise ValueError(f"operator size {op.shape[0]} is not a perfect square")
+    qudit_dimension(isqrt(op.shape[0]))
     return _regroup(op, CROSSING_AXES)
 
 
@@ -286,6 +285,7 @@ def select_crossing_axes(n: int) -> list[tuple[int, ...]]:
     crossed(swap) = identity over all N^4 entries at dimension ``n`` to 1e-12.
     Exactly one candidate survives; ``CROSSING_AXES`` hard-codes it.
     """
+    n = qudit_dimension(n)
     eye, swap = np.eye(n * n, dtype=complex), swap_matrix(n)
     crossed_eye = (n / 2.0) * (eye + ChannelSpec(Channel.T, n).z_gate)
     candidates = [(0,) + tail for tail in permutations((1, 2, 3))]

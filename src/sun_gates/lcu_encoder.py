@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .invariant_channels import AmplitudeCoefficients
-from .sun_algebra import DEFAULT_TOLERANCE
+from .sun_algebra import DEFAULT_TOLERANCE, finite_array
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,9 @@ def apply_with_postselection(plan: BlockEncodingPlan, psi: np.ndarray) -> Postse
     success probability is || M psi ||^2 / alpha^2 and the state is M psi
     normalized, realizing the amplitude on the system register.
     """
-    psi = np.asarray(psi, dtype=complex)
     d = plan.amplitude.channel.n ** 2
-    if psi.shape != (d,):
-        raise ValueError(f"expected a state vector of length {d}, got shape {psi.shape}")
-    with np.errstate(over="ignore"):  # a norm that overflows is inf, which the check rejects
+    psi = finite_array("psi", psi, (d,))
+    with np.errstate(over="ignore"):  # a finite state's norm can still overflow to inf, which the check rejects
         norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= DEFAULT_TOLERANCE:
         raise ValueError(f"input state must be normalized and finite, got norm {norm}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sun_algebra import GeneratorSet
+from .sun_algebra import GeneratorSet, finite_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,14 +47,10 @@ def decompose(op: np.ndarray, gens: GeneratorSet) -> OperatorBasisDecomposition:
     left_a = (2/N) Tr(M (T^a (x) I)),
     right_a = (2/N) Tr(M (I (x) T^a)),
     corr_ab = 4 Tr(M (T^a (x) T^b)).
-    Raises ``ValueError`` unless ``op`` is an N^2 x N^2 array of finite entries.
+    Raises ``ValueError`` unless ``op`` is an N^2 x N^2 array of finite numbers (see ``finite_array``).
     """
     n = gens.n
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (n * n, n * n):
-        raise ValueError(f"expected operator of shape ({n*n}, {n*n}), got {op.shape}")
-    if not np.isfinite(op).all():
-        raise ValueError("operator must be finite, got a nan or infinite entry")
+    op = finite_array("operator", op, (n * n, n * n)).astype(complex, copy=False)
     t4 = op.reshape(n, n, n, n)  # [k, l, i, j]
     g = gens.generators
     scalar = complex(np.einsum("klkl", t4)) / (n * n)
@@ -83,18 +79,14 @@ def reconstruct(dec: OperatorBasisDecomposition) -> np.ndarray:
     with its (k, i, l, j) indices regrouped by (0, 2, 1, 3).  The cost is two
     N^2 x N^2 matrix products, O(N^6).
 
-    Raises ``ValueError`` naming the field if ``scalar`` is not a scalar or
+    Raises ``ValueError`` naming the field (see ``finite_array``) if ``scalar`` is not a scalar or
     ``left``, ``right`` or ``corr`` is not of shape (N^2-1,), (N^2-1,) or
     (N^2-1, N^2-1), or holds a nan or infinite entry.
     """
     n = dec.gens.n
     d = len(dec.gens)
     for name, shape in (("scalar", ()), ("left", (d,)), ("right", (d,)), ("corr", (d, d))):
-        got = np.shape(value := getattr(dec, name))
-        if got != shape:
-            raise ValueError(f"{name} must have shape {shape} for N={n}, got {got}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got a nan or infinite entry")
+        finite_array(name, getattr(dec, name), shape)
     c = np.empty((d + 1, d + 1), dtype=complex)
     c[0, 0] = n * dec.scalar
     c[1:, 0] = dec.left / np.sqrt(2.0 / n)

@@ -30,7 +30,7 @@ class GeneratorSet:
         Qudit dimension N >= 2 (see ``qudit_dimension``).
     generators : np.ndarray
         Complex array of shape (N^2 - 1, N, N); ``generators[a]`` is T^a.
-        Read-only after construction.
+        Finite (see ``finite_array``), and read-only after construction.
     """
 
     n: int
@@ -38,12 +38,8 @@ class GeneratorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "n", qudit_dimension(self.n))
-        d = self.n * self.n - 1
-        if self.generators.shape != (d, self.n, self.n):
-            raise ValueError(
-                f"expected {d} generators of shape ({self.n}, {self.n}), "
-                f"got array of shape {self.generators.shape}"
-            )
+        shape = (self.n * self.n - 1, self.n, self.n)
+        object.__setattr__(self, "generators", finite_array("generators", self.generators, shape))
         self.generators.setflags(write=False)
 
     def __len__(self) -> int:
@@ -80,6 +76,22 @@ def qudit_dimension(n) -> int:
     if n < 2:
         raise ValueError(f"qudit dimension must be at least 2, got {n}")
     return int(n)
+
+
+def finite_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``np.asarray(value)``, the rule of every entry point that takes numbers: an operator, a state, a coefficient.
+
+    Raises ``ValueError`` naming ``name`` unless the array has ``shape`` (when given), an integer, float or
+    complex dtype, and no nan or infinite entry; a 0-d value prints itself in that message.
+    """
+    array = np.asarray(value)
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    if array.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must hold numbers, got dtype {array.dtype}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {array if array.ndim == 0 else 'a nan or infinite entry'}")
+    return array
 
 
 def build_generators(n: int) -> GeneratorSet:

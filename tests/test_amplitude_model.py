@@ -86,7 +86,7 @@ def test_invariance_residual_cases():
 
 @pytest.mark.parametrize("measure", [scalar_amplitudes, invariance_residual])
 def test_operator_and_projector_shapes_must_match(measure):
-    with pytest.raises(ValueError, match=re.escape("operator shape (4, 4) does not match projector shape (9, 9)")):
+    with pytest.raises(ValueError, match=re.escape("operator must have shape (9, 9), got (4, 4)")):
         measure(np.eye(4), build_projectors(ChannelSpec(Channel.S, 3)))
 
 
@@ -115,7 +115,7 @@ def test_non_finite_coefficients_are_named_where_the_amplitude_is_built():
     spec = ChannelSpec(Channel.S, 3)
     with pytest.raises(ValueError, match="coefficient a must be finite, got nan"):
         cross_coefficients(AmplitudeCoefficients(spec, float("nan"), 0.0))
-    with pytest.raises(ValueError, match="coefficient a must be finite"):
+    with pytest.raises(ValueError, match="theta must be finite, got nan"):
         unitary_parameterization(float("nan"), 0.0, spec)
 
 

@@ -324,8 +324,11 @@ NONFINITE_FAULTS = {
     "nan_generator_form_p_plus": (result_fault(cli, "generator_form_projectors", nan_pair_head),
                                   ["projector_generator_form[t]"], ""),
     "nan_hermiticity": (result_fault(cli, "hermiticity_deviation", lambda _: np.nan), ["generator_hermiticity"], ""),
-    # X has nan entries, so eigh inside u_exponential_form raises LinAlgError
-    "nan_t0": (generator_fault(0, scale=np.nan), ["u_exponential_form"], "LinAlgError: "),
+    # GeneratorSet refuses a nan generator, in every row that reads the generators
+    "nan_t0": (generator_fault(0, scale=np.nan), [
+        "generator_hermiticity", "generator_tracelessness", "generator_orthonormality", "completeness_identity",
+        "projector_generator_form[s]", "projector_generator_form[t]", "u_exponential_form", "decompose_round_trip"],
+        "ValueError: generators must be finite"),
     # a nan crossed coefficient is refused by AmplitudeCoefficients, in both rows that read the crossing
     "nan_crossed_b": (result_fault(cli, "cross_coefficients", lambda crossed: replace(crossed, b=complex("nan"))),
                       ["crossing_coefficient_round_trip", "crossing_operator_consistency"],
@@ -496,6 +499,20 @@ def test_encode_alpha_arithmetic(tmp_path):
     assert abs(data["alpha"] - 1.4) < 1e-15
 
 
+@pytest.mark.parametrize("argv, status, error", [
+    (["verify", "--n", "2"], 0, ""),
+    (["encode", "--n", "2", "--a=0,0", "--b=0,0"], 2, "error: cannot encode the zero amplitude (a = b = 0)\n"),
+], ids=["verify", "encode-zero"])
+def test_python_m_sun_gates_exits_with_the_status_of_main(capsys, monkeypatch, argv, status, error):
+    # the package's __main__ hands main's status to sys.exit, as `python -m sun_gates` runs it
+    monkeypatch.setattr(sys, "argv", ["sun_gates", *argv])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("sun_gates", run_name="__main__")
+    assert exited.value.code == status
+    out, err = capsys.readouterr()
+    assert (bool(out), err) == (status == 0, error)
+
+
 def test_encode_rejects_zero_amplitude(tmp_path, capsys):
     assert main(["encode", "--a", "0,0", "--b", "0,0"]) == 2
     assert "zero amplitude" in capsys.readouterr().err
@@ -505,7 +522,7 @@ def test_encode_rejects_bad_psi_length(tmp_path, capsys):
     # apply_with_postselection is the one length check on --psi, so it names the state vector's length
     code, text = run(tmp_path, "encode", "--n", "2", "--a=1,0", "--b=0,0", "--psi=1,0")
     assert (code, text) == (2, "")
-    assert capsys.readouterr() == ("", "error: expected a state vector of length 4, got shape (2,)\n")
+    assert capsys.readouterr() == ("", "error: psi must have shape (4,), got (2,)\n")
     # the coefficients are checked before the state, so a zero amplitude is named first
     assert main(["encode", "--n", "2", "--a=0,0", "--b=0,0", "--psi=1,0"]) == 2
     assert "zero amplitude" in capsys.readouterr().err
