@@ -7,7 +7,8 @@ files are not traced.  A module's executable lines are the lines ``co_lines()`` 
 code object and every code object nested in it, line 0 left out.
 
 Prints one strict JSON record, ``{module: {"executable": <count>, "unexecuted": [<line>, ...]}}``, and exits
-with pytest's status; pytest's own report goes to stderr.
+with pytest's status; pytest's own report goes to stderr.  When pytest passes but a line went unexecuted, it
+names each such line on stderr as ``src/sun_gates/<module>.py:<line>`` and exits 1: no change may add one.
 
 Usage: python scripts/line_coverage.py > coverage.json
 """
@@ -69,12 +70,16 @@ def main() -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    record = {}
+    record, unexecuted = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
-        record[f"sun_gates.{path.stem}"] = {"executable": len(lines),
-                                            "unexecuted": sorted(lines - executed[str(path)])}
+        missed = sorted(lines - executed[str(path)])
+        record[f"sun_gates.{path.stem}"] = {"executable": len(lines), "unexecuted": missed}
+        unexecuted += [f"{path.relative_to(ROOT)}:{line}" for line in missed]
     print(json.dumps(record, indent=2, allow_nan=False))
+    if status == 0 and unexecuted:
+        print(f"unexecuted lines: {' '.join(unexecuted)}", file=sys.stderr)
+        return 1
     return int(status)
 
 

@@ -15,13 +15,12 @@ crossed coefficient or sector measurement that overflows to inf or nan raises
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .invariant_channels import AmplitudeCoefficients, Channel, ChannelSpec
-from .sun_algebra import finite_array
+from .sun_algebra import bounded_integer, finite_array
 
 
 def _finite(name: str, value):
@@ -104,9 +103,9 @@ def unitary_parameterization(theta: float, phi: float, channel: ChannelSpec) -> 
 class PartialWaveSector:
     """Coefficients (a_J, b_J) of a fixed angular momentum sector, with their measurements.
 
-    ``kappa_j`` is the positive phase-space / normalization factor entering
-    the sector eigenvalues 1 + i kappa_J (a_J +- b_J); it is an input, not a
-    computed quantity.  ``norm_sq``, ``eigen_plus`` and ``eigen_minus`` raise
+    ``j`` is read by ``bounded_integer`` from 0, so it is stored as a Python ``int``.  ``kappa_j`` is the
+    positive phase-space / normalization factor entering the sector eigenvalues 1 + i kappa_J (a_J +- b_J);
+    it is an input, not a computed quantity.  ``norm_sq``, ``eigen_plus`` and ``eigen_minus`` raise
     ``FloatingPointError`` naming themselves when they overflow to inf or nan.
     """
 
@@ -116,10 +115,7 @@ class PartialWaveSector:
     kappa_j: float
 
     def __post_init__(self):
-        if not isinstance(self.j, numbers.Integral):
-            raise TypeError(f"angular momentum label j must be an integer, got {self.j!r}")
-        if self.j < 0:
-            raise ValueError(f"angular momentum label must be non-negative, got {self.j}")
+        object.__setattr__(self, "j", bounded_integer("angular momentum label j", self.j, 0))
         for name in ("a_j", "b_j", "kappa_j"):
             finite_array(name, getattr(self, name), ())
         if not self.kappa_j > 0:
@@ -156,14 +152,10 @@ def disk_samples(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``resolution`` rows are the boundary r = 1 (|a|^2 + |b|^2 = 1, including
     the pure-identity point theta = 0 and the pure-Z point theta = pi/2); the
     rest take r = k / resolution, k = 1 .. resolution - 1, all with
-    |a|^2 + |b|^2 < 1.  theta and a are float64, b complex128.  ``resolution``
-    is an integer from 2 to ``MAX_DISK_RESOLUTION``: ``TypeError`` names any
-    other type, ``ValueError`` a value out of that range.
+    |a|^2 + |b|^2 < 1.  theta and a are float64, b complex128.  ``bounded_integer``
+    reads ``resolution``, an integer from 2 to ``MAX_DISK_RESOLUTION``.
     """
-    if not isinstance(resolution, numbers.Integral):
-        raise TypeError(f"resolution must be an integer, got {resolution!r}")
-    if not 2 <= resolution <= MAX_DISK_RESOLUTION:
-        raise ValueError(f"resolution must be between 2 and {MAX_DISK_RESOLUTION}, got {resolution}")
+    resolution = bounded_integer("resolution", resolution, 2, MAX_DISK_RESOLUTION)
     thetas = np.linspace(0.0, np.pi / 2.0, resolution)
     radii = np.array([1.0] + [k / resolution for k in range(1, resolution)])[:, None]
     return np.tile(thetas, resolution), (radii * np.cos(thetas)).ravel(), (1j * radii * np.sin(thetas)).ravel()

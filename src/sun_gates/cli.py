@@ -480,7 +480,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

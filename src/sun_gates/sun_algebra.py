@@ -30,7 +30,7 @@ class GeneratorSet:
         Qudit dimension N >= 2 (see ``qudit_dimension``).
     generators : np.ndarray
         Complex array of shape (N^2 - 1, N, N); ``generators[a]`` is T^a.
-        Finite (see ``finite_array``), and read-only after construction.
+        Finite (see ``finite_array``) and read-only: a writable array or a view is copied, so its caller keeps it.
     """
 
     n: int
@@ -38,8 +38,9 @@ class GeneratorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "n", qudit_dimension(self.n))
-        shape = (self.n * self.n - 1, self.n, self.n)
-        object.__setattr__(self, "generators", finite_array("generators", self.generators, shape))
+        generators = finite_array("generators", self.generators, (self.n * self.n - 1, self.n, self.n))
+        owned = generators.flags.owndata and not generators.flags.writeable  # so no caller can write to it
+        object.__setattr__(self, "generators", generators if owned else generators.copy())
         self.generators.setflags(write=False)
 
     def __len__(self) -> int:
@@ -66,25 +67,35 @@ class GeneratorSet:
 
 
 def qudit_dimension(n) -> int:
-    """N as a Python ``int`` (so JSON-ready), the rule of every constructor that takes N.
+    """N as a Python ``int`` (so JSON-ready), the rule of every constructor that takes N: ``bounded_integer`` from 2."""
+    return bounded_integer("qudit dimension", n, 2)
 
-    Raises ``TypeError`` naming ``n`` unless it is an integer (numpy integers
-    included), and ``ValueError`` if it is below 2.
+
+def bounded_integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``int(value)``, the rule of every entry point that takes an integer: N, a sector label, a sample count.
+
+    Raises ``TypeError`` naming ``name`` unless ``value`` is an integer (numpy's included, ``bool`` refused), and
+    ``ValueError`` naming it below ``low`` or, when ``high`` is given, above ``high``.
     """
-    if not isinstance(n, numbers.Integral):
-        raise TypeError(f"qudit dimension must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"qudit dimension must be at least 2, got {n}")
-    return int(n)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {high}, got {value}")
+    return int(value)
 
 
 def finite_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """``np.asarray(value)``, the rule of every entry point that takes numbers: an operator, a state, a coefficient.
 
-    Raises ``ValueError`` naming ``name`` unless the array has ``shape`` (when given), an integer, float or
-    complex dtype, and no nan or infinite entry; a 0-d value prints itself in that message.
+    Raises ``ValueError`` naming ``name`` for a ragged nested sequence, or unless the array has ``shape`` (when given),
+    an integer, float or complex dtype, and no nan or infinite entry; a 0-d value prints itself in that message.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a rectangular array of numbers, got a ragged sequence") from exc
     if shape is not None and array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     if array.dtype.kind not in "iufc":
@@ -126,6 +137,7 @@ def build_generators(n: int) -> GeneratorSet:
         # diag(1, ..., 1, -l) on the first l + 1 entries, times sqrt(2 / (l (l+1))) / 2 so that Tr(T^2) = 1/2
         np.fill_diagonal(t[2 * pairs + l - 1, :l + 1, :l + 1],
                          np.append(np.ones(l), -float(l)) * (np.sqrt(2.0 / (l * (l + 1))) / 2.0))
+    t.setflags(write=False)  # so GeneratorSet keeps this array, not a copy of it
     return GeneratorSet(n=n, generators=t)
 
 

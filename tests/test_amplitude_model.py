@@ -248,15 +248,15 @@ def test_unitary_sectors_always_saturate():
 
 
 def test_partial_wave_sector_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="angular momentum label j must be at least 0, got -1"):
         PartialWaveSector(j=-1, a_j=0.0, b_j=0.0, kappa_j=1.0)
     with pytest.raises(ValueError):
         PartialWaveSector(j=0, a_j=0.0, b_j=0.0, kappa_j=0.0)
 
 
-@pytest.mark.parametrize("j", [1.5, 2.0, "1"])
+@pytest.mark.parametrize("j", [1.5, 2.0, "1", True])
 def test_partial_wave_sector_rejects_a_non_integer_j(j):
-    # an angular momentum label is an integer, as disk_samples' resolution is
+    # an angular momentum label is an integer and not a bool, as disk_samples' resolution is
     with pytest.raises(TypeError, match=f"j must be an integer, got {re.escape(repr(j))}"):
         PartialWaveSector(j=j, a_j=0.1, b_j=0.1, kappa_j=1.0)
 

@@ -1,8 +1,9 @@
 """Every public callable of the package refuses a malformed input and names it, with no warning on the way.
 
 One table states the kind of each parameter of each public name; each kind has a fixed corpus of values it
-must refuse.  A dimension follows ``qudit_dimension``; an operator, a state, a coefficient and an angle follow
-``finite_array``.  A public name missing from the table fails the test, so each new export states its kinds.
+must refuse.  A dimension, a sector label and a resolution follow ``bounded_integer``; an operator, a state, a
+coefficient and an angle follow ``finite_array``.  A public name missing from the table fails the test, so each
+new export states its kinds.
 """
 
 import inspect
@@ -16,13 +17,14 @@ from sun_gates import (
     AmplitudeCoefficients,
     Channel,
     ChannelSpec,
+    PartialWaveSector,
     build_generators,
     build_projectors,
     crossing_map,
     plan_encoding,
 )
 from sun_gates.amplitude_model import MAX_DISK_RESOLUTION
-from sun_gates.sun_algebra import finite_array
+from sun_gates.sun_algebra import bounded_integer, finite_array, qudit_dimension
 
 N = 3
 SPEC = ChannelSpec(Channel.S, N)
@@ -53,6 +55,10 @@ def angle(label):
 
 def resolution():
     return "resolution", 4, "resolution"
+
+
+def label():
+    return "label", 1, "angular momentum label j"
 
 
 def typed(valid=None):
@@ -92,8 +98,8 @@ PARAMETERS = {
     "invariance_residual": {"m": operator(), "projs": typed(build_projectors(SPEC))},
     "cross_coefficients": {"coeffs": typed()},
     "unitary_parameterization": {"theta": angle("theta"), "phi": angle("phi"), "channel": typed(SPEC)},
-    # j is a label with its own integer and sign checks, and kappa_j a measurement's factor, finite like a_j
-    "PartialWaveSector": {"j": typed(1), "a_j": coefficient("a_j"), "b_j": coefficient("b_j"),
+    # kappa_j is a measurement's factor, finite like a_j
+    "PartialWaveSector": {"j": label(), "a_j": coefficient("a_j"), "b_j": coefficient("b_j"),
                           "kappa_j": coefficient("kappa_j")},
     "disk_samples": {"resolution": resolution()},
     # a plan is plan_encoding's result, and a report or a postselection result that of its function
@@ -122,14 +128,16 @@ def with_entry(valid, value):
 def corpus(kind, valid):
     """The values of ``kind`` to refuse, by id; built around ``valid`` so that only the one defect differs."""
     if kind == "dimension":
-        return {"0": 0, "-1": -1, "2.5": 2.5}
+        return {"0": 0, "-1": -1, "2.5": 2.5, "True": True}
+    if kind == "label":
+        return {"-1": -1, "2.5": 2.5, "True": True}
     if kind in ("operator", "state"):
         return {"nan": with_entry(valid, np.nan), "inf": with_entry(valid, np.inf), "wrong-shape": valid[..., :-1],
-                "object": np.array(valid, dtype=object), "empty": np.array([])}
+                "object": np.array(valid, dtype=object), "empty": np.array([]), "ragged": [[1, 2], [3]]}
     if kind in ("coefficient", "angle"):
-        return {"nan": np.nan, "inf": np.inf}
+        return {"nan": np.nan, "inf": np.inf, "ragged": [1, [2]]}
     if kind == "resolution":
-        return {"1": 1, "2.5": 2.5, "max+1": MAX_DISK_RESOLUTION + 1}
+        return {"1": 1, "2.5": 2.5, "max+1": MAX_DISK_RESOLUTION + 1, "True": True}
     assert kind == "typed"
     return {}
 
@@ -146,7 +154,7 @@ def test_every_public_callable_states_the_kind_of_each_parameter():
         required = {p.name for p in signature if p.default is p.empty}
         assert required <= set(params) <= {p.name for p in signature}, name
         assert {kind for kind, _, _ in params.values()} <= {
-            "dimension", "operator", "state", "coefficient", "angle", "resolution", "typed"}, name
+            "dimension", "label", "operator", "state", "coefficient", "angle", "resolution", "typed"}, name
 
 
 @pytest.mark.filterwarnings("error")
@@ -174,7 +182,8 @@ def test_crossing_map_takes_its_n_through_qudit_dimension(size):
     (np.array([True]), None, "x must hold numbers, got dtype bool"),
     (complex(np.inf, 0.0), (), "x must be finite, got (inf+0j)"),
     ([0.0, np.nan], (2,), "x must be finite, got a nan or infinite entry"),
-], ids=["shape", "str", "bool", "0-d", "1-d"])
+    ([[1, 2], [3]], None, "x must be a rectangular array of numbers, got a ragged sequence"),
+], ids=["shape", "str", "bool", "0-d", "1-d", "ragged"])
 def test_finite_array_names_its_value_with_each_rule(value, shape, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         finite_array("x", value, shape)
@@ -184,3 +193,20 @@ def test_finite_array_returns_the_array_it_checked():
     psi = np.eye(4, dtype=complex)[1]
     assert finite_array("psi", psi, (4,)) is psi
     assert finite_array("n", 3).dtype.kind == "i"
+
+
+@pytest.mark.parametrize("value, high, error, message", [
+    (2.0, None, TypeError, "k must be an integer, got 2.0"),
+    (True, None, TypeError, "k must be an integer, got True"),
+    (1, None, ValueError, "k must be at least 2, got 1"),
+    (1, 1024, ValueError, "k must be between 2 and 1024, got 1"),
+    (1025, 1024, ValueError, "k must be between 2 and 1024, got 1025"),
+], ids=["float", "bool", "below", "below-range", "above-range"])
+def test_bounded_integer_names_its_value_with_each_rule(value, high, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        bounded_integer("k", value, 2, high)
+
+
+def test_numpy_integers_come_back_as_python_int():
+    assert type(qudit_dimension(np.int64(3))) is int
+    assert type(PartialWaveSector(j=np.int64(2), a_j=0.1, b_j=0.1, kappa_j=1.0).j) is int
